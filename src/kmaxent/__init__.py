@@ -48,6 +48,7 @@ from .hyperopt import (
     MarginalObjective,
     PipelineConfig,
     RegressionMarginalObjective,
+    RidgeMarginal,
     neg_log_marginal,
     optimize_hyperparameters,
     run_pem_pipeline,

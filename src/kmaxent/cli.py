@@ -12,6 +12,7 @@ failures (more than 10% of Monte Carlo records failed).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -19,23 +20,7 @@ from .errors import KmaxentError
 from .estimators import Method
 from .harness import ExperimentConfig, estimate_file, run_monte_carlo, run_single_trial
 
-_CONFIG_KEYS = {
-    "methods",
-    "N",
-    "n",
-    "runs",
-    "master_seed",
-    "pole_modulus",
-    "zero_modulus",
-    "pairs",
-    "max_phase_gap",
-    "grid_size",
-    "burn_in",
-    "low_order",
-    "refine",
-    "include_timings",
-    "output_path",
-}
+_CONFIG_KEYS = frozenset(f.name for f in dataclasses.fields(ExperimentConfig))
 
 
 class _Parser(argparse.ArgumentParser):

@@ -2,15 +2,22 @@
 
 The kernel scale and decay rate are chosen by minimizing the negative
 log-marginal likelihood of the data with the coefficient vector integrated
-out. The surface is not convex, so the search is a deterministic two-stage
-procedure: an exhaustive coarse grid over (log10 lambda, beta) followed by a
+out. Kernel-ME and kernel-PEM are two cases of one ridge-regression marginal
+likelihood, implemented once in :class:`RidgeMarginal` on the reduced form
+B^T G B of the Gram matrix G and the structured kernel root B.
+
+The surface is not convex, so the search is a deterministic two-stage
+procedure: an exhaustive coarse grid over (log10 lambda, beta), scored with
+one eigendecomposition of the reduced form per beta, followed by a
 Nelder-Mead refinement in (log lambda, logit beta), coordinates in which the
-open-box constraints lambda > 0 and 0 < beta < 1 hold automatically.
+open-box constraints lambda > 0 and 0 < beta < 1 hold automatically; each
+refinement point costs one Cholesky of the reduced n x n form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -45,8 +52,7 @@ from .kernels import (
     Hyperparameters,
     KernelFamily,
     KernelSpec,
-    kernel_matrix,
-    trailing_block_root,
+    root_scale,
 )
 
 
@@ -69,6 +75,111 @@ class PipelineConfig:
 
 
 @dataclass(frozen=True)
+class RidgeMarginal:
+    """Negative log-marginal likelihood of a ridge regression with a kernel prior.
+
+    Scores 0.5 [log det(I + lam A) + p (t - lam w^T (I + lam A)^{-1} w)] with
+    A = B^T G B and w = B^T m, where G is the Gram matrix of the regression,
+    m its moment vector, t the target sum of squares, p the noise precision
+    and B B^T the prior covariance at decay rate beta. Both estimation routes
+    are this form; see :meth:`whittle` and :meth:`regression`.
+
+    Every structured kernel root is S diag(c(beta)) for tc, with S the
+    upper-triangular matrix of ones, and diag(c(beta)) for di. The constructors
+    therefore store S^T G S and S^T m once (G and m for di), and for each beta
+    A = c c^T * S^T G S and w = c * S^T m are elementwise scalings; no kernel
+    matrix is formed.
+    """
+
+    reduced_gram: np.ndarray
+    reduced_moment: np.ndarray
+    target_ss: float
+    noise_precision: float
+    family: KernelFamily
+    size: int  # kernel size n + 1
+    trailing: bool  # root of the trailing n x n kernel block instead of the full kernel
+
+    @classmethod
+    def _reduce(cls, gram, moment, target_ss, noise_precision, family, size, trailing):
+        family = KernelFamily(family)
+        if family is KernelFamily.TC:
+            # S^T G S and S^T m are cumulative sums
+            gram = np.cumsum(np.cumsum(gram, axis=0), axis=1)
+            moment = np.cumsum(moment)
+        return cls(
+            reduced_gram=gram,
+            reduced_moment=moment,
+            target_ss=float(target_ss),
+            noise_precision=float(noise_precision),
+            family=family,
+            size=size,
+            trailing=trailing,
+        )
+
+    @classmethod
+    def whittle(cls, design: WhittleDesign, cov: ToeplitzCovariance, family: KernelFamily):
+        """Whitened maximum-entropy fit: Phi^T Phi = (N - n) Sigma,
+        Phi^T v~ = (N - n) / b0 e_1, target v~^T v~ and unit precision, with
+        the root of the full size-(n+1) kernel."""
+        moment = np.zeros(cov.order + 1)
+        moment[0] = design.n_eff / design.b0_prelim
+        return cls._reduce(
+            design.n_eff * cov.matrix,
+            moment,
+            design.v_tilde @ design.v_tilde,
+            1.0,
+            family,
+            cov.order + 1,
+            trailing=False,
+        )
+
+    @classmethod
+    def regression(cls, gram, moment, target_ss, b0_prelim, family: KernelFamily):
+        """One-step-predictor regression with noise variance 1 / b0^2 and the
+        root of the trailing n x n block of the size-(n+1) kernel."""
+        return cls._reduce(
+            gram, moment, target_ss, b0_prelim**2, family, len(moment) + 1, trailing=True
+        )
+
+    def _reduced(self, beta: float) -> tuple[np.ndarray, np.ndarray]:
+        """A = B^T G B and w = B^T m at decay rate beta."""
+        c = root_scale(KernelSpec(self.family, beta, self.size), trailing=self.trailing)
+        return c[:, None] * self.reduced_gram * c, c * self.reduced_moment
+
+    def evaluate(self, eta: Hyperparameters) -> float:
+        # M = I + lam A >= I, so its Cholesky is stable: the log-determinant
+        # comes from the factor diagonal, the quadratic form from one solve
+        A, w = self._reduced(eta.beta)
+        L = np.linalg.cholesky(eta.lam * A + np.eye(w.size))
+        log_det = 2.0 * np.sum(np.log(np.diag(L)))
+        z = scipy.linalg.solve_triangular(L, w, lower=True, check_finite=False)
+        return 0.5 * (log_det + self.noise_precision * (self.target_ss - eta.lam * (z @ z)))
+
+    def grid_values(self, lams: np.ndarray, betas: np.ndarray) -> np.ndarray:
+        """Objective on the grid lams x betas, shape (len(lams), len(betas)).
+
+        One eigendecomposition A = Q diag(s) Q^T per beta; then for each lam
+        log det = sum log(1 + lam s) and w^T (I + lam A)^{-1} w =
+        sum (Q^T w)^2 / (1 + lam s), both O(n).
+        """
+        lams = np.asarray(lams, dtype=float)[:, None]
+        values = np.empty((lams.size, len(betas)))
+        for j, beta in enumerate(betas):
+            A, w = self._reduced(float(beta))
+            s, Q = np.linalg.eigh(A)
+            s = np.clip(s, 0.0, None)
+            u2 = (Q.T @ w) ** 2
+            log_det = np.sum(np.log1p(lams * s), axis=1)
+            quad = self.target_ss - lams[:, 0] * np.sum(u2 / (1.0 + lams * s), axis=1)
+            values[:, j] = 0.5 * (log_det + self.noise_precision * quad)
+        return values
+
+    def df(self, eta: Hyperparameters) -> float:
+        """Ridge degrees of freedom from the eigenvalues of A at eta."""
+        return shrinkage_df(np.linalg.eigvalsh(self._reduced(eta.beta)[0]), eta.lam)
+
+
+@dataclass(frozen=True)
 class MarginalObjective:
     """Negative log-marginal likelihood of the whitened maximum-entropy fit."""
 
@@ -78,8 +189,15 @@ class MarginalObjective:
     N: int
     n: int
 
+    @cached_property
+    def core(self) -> RidgeMarginal:
+        return RidgeMarginal.whittle(self.design, self.cov, self.kernel_family)
+
     def evaluate(self, eta: Hyperparameters) -> float:
-        return neg_log_marginal(self, eta)
+        return self.core.evaluate(eta)
+
+    def grid_values(self, lams: np.ndarray, betas: np.ndarray) -> np.ndarray:
+        return self.core.grid_values(lams, betas)
 
 
 @dataclass(frozen=True)
@@ -100,19 +218,17 @@ class RegressionMarginalObjective:
     kernel_family: KernelFamily
     n: int
 
+    @cached_property
+    def core(self) -> RidgeMarginal:
+        return RidgeMarginal.regression(
+            self.gram, self.moment, self.target_ss, self.b0_prelim, self.kernel_family
+        )
+
     def evaluate(self, eta: Hyperparameters) -> float:
-        # -log N(y; 0, lam/b0^2 * X Kbar X^T + I/b0^2) up to constants: the
-        # noise scale cancels inside the determinant and multiplies only the
-        # quadratic form
-        spec = KernelSpec(self.kernel_family, eta.beta, self.n + 1)
-        B = trailing_block_root(spec)
-        M = eta.lam * (B.T @ self.gram @ B) + np.eye(self.n)
-        L = np.linalg.cholesky(M)
-        log_det = 2.0 * np.sum(np.log(np.diag(L)))
-        w = B.T @ self.moment
-        t = scipy.linalg.solve_triangular(L, w, lower=True, check_finite=False)
-        quad = self.b0_prelim**2 * (self.target_ss - eta.lam * (t @ t))
-        return 0.5 * (log_det + quad)
+        return self.core.evaluate(eta)
+
+    def grid_values(self, lams: np.ndarray, betas: np.ndarray) -> np.ndarray:
+        return self.core.grid_values(lams, betas)
 
 
 @dataclass(frozen=True)
@@ -128,18 +244,10 @@ class HyperoptResult:
 def neg_log_marginal(obj: MarginalObjective, eta: Hyperparameters) -> float:
     """Value of 0.5 log det(lam Phi K Phi^T + I) + 0.5 v~^T (lam Phi K Phi^T + I)^{-1} v~.
 
-    Additive constants are fixed to zero by convention. M >= I guarantees a
-    stable Cholesky: the log-determinant comes from the factor diagonal and
-    the quadratic term from a triangular solve.
+    Additive constants are fixed to zero by convention. Evaluated through the
+    shared :class:`RidgeMarginal` core.
     """
-    spec = KernelSpec(obj.kernel_family, eta.beta, obj.n + 1)
-    K = kernel_matrix(spec)
-    phi = obj.design.phi_data
-    M = eta.lam * (phi @ K @ phi.T) + np.eye(obj.n + 1)
-    L = np.linalg.cholesky(M)
-    log_det = 2.0 * np.sum(np.log(np.diag(L)))
-    t = scipy.linalg.solve_triangular(L, obj.design.v_tilde, lower=True, check_finite=False)
-    return 0.5 * (log_det + t @ t)
+    return obj.evaluate(eta)
 
 
 def _grid(lo: float, hi: float, step: float) -> np.ndarray:
@@ -221,11 +329,14 @@ def _nelder_mead(f, x0: np.ndarray, diameter_tol: float, max_evals: int) -> None
 def optimize_hyperparameters(obj, config: PipelineConfig = PipelineConfig()) -> HyperoptResult:
     """Two-stage deterministic search for (lambda, beta).
 
-    Stage 1 evaluates the full grid (ascending log10 lambda outer, ascending
-    beta inner). Stage 2 refines from the best grid point with Nelder-Mead in
-    (log lambda, logit beta). The returned pair attains the minimum over every
-    evaluation made, so the result is never worse than the best grid point.
-    ``obj`` only needs an ``evaluate(Hyperparameters) -> float`` method.
+    Stage 1 scores the full grid in one ``obj.grid_values(lams, betas)`` call;
+    for the ridge-marginal objectives that is one eigendecomposition of the
+    reduced n x n form per beta and O(n) per lambda. The trace lists the grid
+    first, ascending log10 lambda outer and ascending beta inner. Stage 2
+    refines from the best grid point with Nelder-Mead in (log lambda, logit
+    beta) through ``obj.evaluate``, one Cholesky of the reduced form per
+    point. The returned pair attains the minimum over every evaluation made,
+    so the result is never worse than the best grid point.
     """
     trace: list[tuple[float, float, float]] = []
 
@@ -234,9 +345,13 @@ def optimize_hyperparameters(obj, config: PipelineConfig = PipelineConfig()) -> 
         trace.append((lam, beta, value))
         return value
 
-    for log10_lam in _grid(config.log10_lambda_min, config.log10_lambda_max, config.log10_lambda_step):
-        for beta in _grid(config.beta_min, config.beta_max, config.beta_step):
-            evaluate(10.0**log10_lam, float(beta))
+    log10_lams = _grid(config.log10_lambda_min, config.log10_lambda_max, config.log10_lambda_step)
+    # scalar powers: numpy's vectorized power can differ in the last bit
+    lams = [10.0 ** float(x) for x in log10_lams]
+    betas = [float(b) for b in _grid(config.beta_min, config.beta_max, config.beta_step)]
+    values = obj.grid_values(np.array(lams), np.array(betas))
+    for i, lam in enumerate(lams):
+        trace.extend((lam, beta, float(values[i, j])) for j, beta in enumerate(betas))
 
     rejected = 0
     if config.refine:
@@ -300,7 +415,7 @@ def run_pipeline(
         adjusted[0] += factor.jitter
         cov = build_toeplitz(adjusted)
     design = _step("whittle_design", build_whittle_design, factor, b0, N, n)
-    objective = MarginalObjective(design=design, cov=cov, kernel_family=kernel_family, N=N, n=n)
+    objective = RidgeMarginal.whittle(design, cov, kernel_family)
     hyper = _step("hyperparameters", optimize_hyperparameters, objective, config)
     spec = KernelSpec(kernel_family, hyper.eta_hat.beta, n + 1)
     b_hat = _step("kernel_me", kernel_me, design, cov, spec, hyper.eta_hat)
@@ -335,20 +450,11 @@ def run_pem_pipeline(
     kernel_family = KernelFamily(kernel_family)
     b0 = _step("preliminary_b0", preliminary_b0, y, config.low_order)
     X, target = _lagged_design(y, n)
-    objective = RegressionMarginalObjective(
-        gram=X.T @ X,
-        moment=X.T @ target,
-        target_ss=float(target @ target),
-        b0_prelim=b0,
-        kernel_family=kernel_family,
-        n=n,
-    )
+    objective = RidgeMarginal.regression(X.T @ X, X.T @ target, target @ target, b0, kernel_family)
     hyper = _step("hyperparameters", optimize_hyperparameters, objective, config)
     spec = KernelSpec(kernel_family, hyper.eta_hat.beta, n + 1)
     b_hat = _step("kernel_pem", kernel_pem, y, n, spec, hyper.eta_hat)
-    B = trailing_block_root(spec)
-    gram_eigs = np.linalg.eigvalsh(B.T @ objective.gram @ B)
-    df = shrinkage_df(gram_eigs, hyper.eta_hat.lam)
+    df = objective.df(hyper.eta_hat)
     is_min_phase, max_modulus = check_min_phase(b_hat)
     tag = Method.PEM_DI if kernel_family is KernelFamily.DI else Method.PEM_TC
     return EstimateResult(

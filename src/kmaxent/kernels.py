@@ -104,6 +104,32 @@ def inverse_factorization(spec: KernelSpec) -> KernelFactorization:
     return KernelFactorization(F=_bidiagonal_difference(size), d=d, variant="tc_inverse")
 
 
+def root_scale(spec: KernelSpec, trailing: bool = False) -> np.ndarray:
+    """Column scales c(beta) of the structured kernel root.
+
+    The root is diag(c) for di and, for tc, the upper-triangular matrix with
+    c_j in every entry of column j on and above the diagonal, that is the
+    upper-triangular matrix of ones times diag(c); see :func:`square_root`. With
+    ``trailing`` the scales belong to the root of the trailing n x n block of
+    the size-(n+1) kernel, which equals beta times the size-n kernel of the
+    same family, so they are sqrt(beta) times the size-n scales.
+    """
+    beta, size = spec.beta, spec.size
+    if trailing:
+        if size < 2:
+            raise InvalidOrderError("trailing block requires kernel size >= 2")
+        return np.sqrt(beta) * root_scale(KernelSpec(spec.family, beta, size - 1))
+    if spec.family is KernelFamily.DI:
+        return np.sqrt(beta ** np.arange(1, size + 1))
+    return np.sqrt((beta - beta**2) * beta ** np.arange(size))
+
+
+def _root_from_scale(family: KernelFamily, c: np.ndarray) -> np.ndarray:
+    if family is KernelFamily.DI:
+        return np.diag(c)
+    return np.triu(np.tile(c, (c.size, 1)))
+
+
 def square_root(spec: KernelSpec) -> np.ndarray:
     """Closed-form factor B with kernel_matrix(spec) == B @ B.T exactly.
 
@@ -113,11 +139,7 @@ def square_root(spec: KernelSpec) -> np.ndarray:
     (0-based). Well conditioned for every beta in (0, 1), unlike the kernel
     itself, so it is safe where a numerical Cholesky of K would fail.
     """
-    beta, size = spec.beta, spec.size
-    if spec.family is KernelFamily.DI:
-        return np.diag(np.sqrt(beta ** np.arange(1, size + 1)))
-    col = np.sqrt((beta - beta**2) * beta ** np.arange(size))
-    return np.triu(np.tile(col, (size, 1)))
+    return _root_from_scale(spec.family, root_scale(spec))
 
 
 def trailing_block_root(spec: KernelSpec) -> np.ndarray:
@@ -127,10 +149,7 @@ def trailing_block_root(spec: KernelSpec) -> np.ndarray:
     the size-n kernel of the same family, so its root is sqrt(beta) times the
     smaller structured root.
     """
-    if spec.size < 2:
-        raise InvalidOrderError("trailing block requires kernel size >= 2")
-    inner = KernelSpec(spec.family, spec.beta, spec.size - 1)
-    return np.sqrt(spec.beta) * square_root(inner)
+    return _root_from_scale(spec.family, root_scale(spec, trailing=True))
 
 
 def _scaled_inverse(spec: KernelSpec, scale: float) -> np.ndarray:

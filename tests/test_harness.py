@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 
 import numpy as np
@@ -246,6 +247,22 @@ class TestCli:
         assert summary["config"]["runs"] == 3
         assert summary["config"]["master_seed"] == 6
         assert summary["methods"]["me"]["count"] == 3
+
+    def test_every_config_field_accepted_from_file(self, tmp_path):
+        values = {
+            "methods": ["me-tc"], "N": 120, "n": 6, "runs": 2, "master_seed": 9,
+            "pole_modulus": 0.9, "zero_modulus": 0.7, "pairs": 2, "max_phase_gap": 0.1,
+            "grid_size": 64, "burn_in": 100, "low_order": 2, "refine": False,
+            "include_timings": True, "output_path": str(tmp_path / "out"),
+        }
+        assert set(values) == {f.name for f in dataclasses.fields(ExperimentConfig)}
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(values))
+        parser = cli._build_parser()
+        cfg = cli._load_config(parser.parse_args(["montecarlo", "--config", str(config)]), parser)
+        for name, value in values.items():
+            expected = (Method.ME_TC,) if name == "methods" else value
+            assert getattr(cfg, name) == expected, name
 
     def test_unknown_config_key_rejected(self, tmp_path):
         config = tmp_path / "cfg.json"

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from kmaxent.covariance import TimeSeries, build_toeplitz, cholesky, estimate_lags
+from kmaxent.diagnostics import shrinkage_df
 from kmaxent.errors import InvalidOrderError, PipelineError
-from kmaxent.estimators import Method, build_whittle_design, preliminary_b0
+from kmaxent.estimators import Method, _lagged_design, build_whittle_design, preliminary_b0
+from kmaxent.harness import ExperimentConfig, fit_method
 from kmaxent.hyperopt import (
     MarginalObjective,
     PipelineConfig,
@@ -13,7 +15,13 @@ from kmaxent.hyperopt import (
     run_pem_pipeline,
     run_pipeline,
 )
-from kmaxent.kernels import Hyperparameters, KernelFamily, KernelSpec, kernel_matrix
+from kmaxent.kernels import (
+    Hyperparameters,
+    KernelFamily,
+    KernelSpec,
+    kernel_matrix,
+    trailing_block_root,
+)
 
 
 def small_objective(seed=3, N=30, n=2, family=KernelFamily.TC):
@@ -36,6 +44,32 @@ def dense_neg_log_marginal(obj, eta):
     M = eta.lam * phi @ K @ phi.T + np.eye(obj.n + 1)
     quad = vt @ np.linalg.inv(M) @ vt
     return 0.5 * (log_det + quad)
+
+
+def regression_objective(y, n, rows, b0, family):
+    X, target = _lagged_design(y, n)
+    X, target = X[:rows], target[:rows]
+    obj = RegressionMarginalObjective(
+        gram=X.T @ X,
+        moment=X.T @ target,
+        target_ss=float(target @ target),
+        b0_prelim=b0,
+        kernel_family=family,
+        n=n,
+    )
+    return obj, X, target
+
+
+def dense_regression_neg_log(X, target, obj, eta):
+    """-log N(y; 0, lam*sigma^2*X Kbar X^T + sigma^2 I) with dense slogdet and
+    inverse, sigma^2 = 1/b0^2, dropping the (m/2) log sigma^2 constant that
+    evaluate() omits."""
+    sigma2 = 1.0 / obj.b0_prelim**2
+    m = target.size
+    kbar = kernel_matrix(KernelSpec(obj.kernel_family, eta.beta, obj.n + 1))[1:, 1:]
+    C = eta.lam * sigma2 * (X @ kbar @ X.T) + sigma2 * np.eye(m)
+    dense = 0.5 * (np.linalg.slogdet(C)[1] + target @ np.linalg.inv(C) @ target)
+    return dense - 0.5 * m * np.log(sigma2)
 
 
 class TestNegLogMarginal:
@@ -81,48 +115,52 @@ class TestNegLogMarginal:
         assert np.ptp(diffs) <= 1e-3
 
     def test_regression_objective_finite_at_extremes(self, benchmark_series):
-        from kmaxent.estimators import _lagged_design
-
-        X, target = _lagged_design(benchmark_series, 20)
-        obj = RegressionMarginalObjective(
-            gram=X.T @ X,
-            moment=X.T @ target,
-            target_ss=float(target @ target),
-            b0_prelim=0.5,
-            kernel_family=KernelFamily.TC,
-            n=20,
-        )
+        obj, _, _ = regression_objective(benchmark_series, 20, None, 0.5, KernelFamily.TC)
         for lam in (1e-10, 1.0, 1e10):
             for beta in (1e-9, 0.5, 1.0 - 1e-12):
                 assert np.isfinite(obj.evaluate(Hyperparameters(lam, beta)))
 
     def test_regression_objective_matches_dense_gaussian_density(self, benchmark_series):
-        # oracle: -log N(y; 0, lam*sigma^2*X Kbar X^T + sigma^2 I) with dense
-        # slogdet/inverse, sigma^2 = 1/b0^2, dropping the (m/2) log sigma^2
-        # constant that evaluate() omits
-        from kmaxent.estimators import _lagged_design
-
-        n = 8
-        X, target = _lagged_design(benchmark_series, n)
-        X, target = X[:60], target[:60]
-        b0 = 0.73
-        obj = RegressionMarginalObjective(
-            gram=X.T @ X,
-            moment=X.T @ target,
-            target_ss=float(target @ target),
-            b0_prelim=b0,
-            kernel_family=KernelFamily.TC,
-            n=n,
-        )
-        sigma2 = 1.0 / b0**2
-        m = target.size
+        obj, X, target = regression_objective(benchmark_series, 8, 60, 0.73, KernelFamily.TC)
         for lam, beta in ((0.05, 0.3), (1.0, 0.85), (30.0, 0.6)):
-            kbar = kernel_matrix(KernelSpec(KernelFamily.TC, beta, n + 1))[1:, 1:]
-            C = lam * sigma2 * (X @ kbar @ X.T) + sigma2 * np.eye(m)
-            dense = 0.5 * (np.linalg.slogdet(C)[1] + target @ np.linalg.inv(C) @ target)
-            expected = dense - 0.5 * m * np.log(sigma2)
-            got = obj.evaluate(Hyperparameters(lam, beta))
+            eta = Hyperparameters(lam, beta)
+            expected = dense_regression_neg_log(X, target, obj, eta)
+            got = obj.evaluate(eta)
             assert abs(got - expected) <= 1e-8 * max(1.0, abs(expected))
+
+
+class TestRidgeMarginalCore:
+    """grid_values, evaluate and the dense oracles agree on both routes."""
+
+    LAMS = (1e-4, 1.0, 1e4)
+    BETAS = (0.05, 0.5, 0.95)
+
+    def objectives(self, family, benchmark_series):
+        me = small_objective(seed=5, N=80, n=4, family=family)
+        pem, X, target = regression_objective(benchmark_series, 4, 60, 0.73, family)
+        return [
+            (me, lambda eta: dense_neg_log_marginal(me, eta)),
+            (pem, lambda eta: dense_regression_neg_log(X, target, pem, eta)),
+        ]
+
+    @pytest.mark.parametrize("family", list(KernelFamily))
+    def test_grid_values_match_evaluate_and_dense_oracle(self, family, benchmark_series):
+        for obj, dense in self.objectives(family, benchmark_series):
+            grid = obj.grid_values(np.array(self.LAMS), np.array(self.BETAS))
+            assert grid.shape == (3, 3)
+            for i, lam in enumerate(self.LAMS):
+                for j, beta in enumerate(self.BETAS):
+                    eta = Hyperparameters(lam, beta)
+                    for other in (obj.evaluate(eta), dense(eta)):
+                        assert abs(grid[i, j] - other) <= 1e-8 * max(1.0, abs(other))
+
+    @pytest.mark.parametrize("family", list(KernelFamily))
+    def test_pem_df_matches_dense_trailing_root(self, family, benchmark_series):
+        result = run_pem_pipeline(benchmark_series, 50, family)
+        X, _ = _lagged_design(benchmark_series, 50)
+        B = trailing_block_root(KernelSpec(family, result.eta_hat.beta, 51))
+        expected = shrinkage_df(np.linalg.eigvalsh(B.T @ (X.T @ X) @ B), result.eta_hat.lam)
+        assert abs(result.df - expected) <= 1e-9 * expected
 
 
 def _quadrature_neg_log(obj, eta):
@@ -153,8 +191,11 @@ class _Bowl:
     """Test seam: quadratic bowl in the transformed coordinates."""
 
     def evaluate(self, eta):
-        u = np.log(eta.lam)
-        t = np.log(eta.beta) - np.log1p(-eta.beta)
+        return self.grid_values(np.array([eta.lam]), np.array([eta.beta]))[0, 0]
+
+    def grid_values(self, lams, betas):
+        u = np.log(lams)[:, None]
+        t = (np.log(betas) - np.log1p(-betas))[None, :]
         return u**2 + t**2
 
 
@@ -178,6 +219,18 @@ class TestOptimizeHyperparameters:
         assert abs(result.eta_hat.lam - 1.0) <= 1e-4
         assert abs(result.eta_hat.beta - 0.5) <= 1e-4
         assert result.objective_value <= 1e-8
+
+    def test_trace_starts_with_grid_in_lambda_outer_beta_inner_order(self):
+        result = optimize_hyperparameters(_Bowl(), PipelineConfig())
+        expected = [
+            (10.0**lg, beta) for lg in np.linspace(-4, 4, 17) for beta in np.linspace(0.05, 0.95, 19)
+        ]
+        grid = result.trace[:323]
+        np.testing.assert_allclose([e[:2] for e in grid], expected, rtol=1e-15)
+        assert [e[2] for e in grid] == [
+            _Bowl().evaluate(Hyperparameters(lam, beta)) for lam, beta, _ in grid
+        ]
+        assert len(result.trace) > 323
 
     def test_never_worse_than_best_grid_point(self, benchmark_setup):
         _, cov, _, design = benchmark_setup
@@ -242,3 +295,16 @@ class TestRunPipeline:
         y = TimeSeries(np.arange(60.0))
         with pytest.raises(InvalidOrderError):
             run_pem_pipeline(y, 30, KernelFamily.DI)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=PipelineError,
+    reason="ROADMAP item 3: the unbounded refinement walks off flat likelihood "
+    "ridges until kernel_me overflows",
+)
+@pytest.mark.parametrize("seed", [0, 2, 3])
+def test_white_noise_me_tc_fit_is_minimum_phase(seed):
+    y = TimeSeries(np.random.default_rng(seed).standard_normal(500))
+    result = fit_method(Method.ME_TC, y, ExperimentConfig())
+    assert result.min_phase_verified
