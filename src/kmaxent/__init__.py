@@ -30,6 +30,7 @@ from .estimators import (
     kernel_me,
     kernel_me_regularized_ls,
     kernel_pem,
+    lagged_gram,
     me_bic,
     preliminary_b0,
     yule_walker,

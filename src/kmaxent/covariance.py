@@ -82,6 +82,12 @@ class CholeskyFactor:
     jitter: float = 0.0
 
 
+def _lag_products(s: np.ndarray, n: int) -> np.ndarray:
+    """Lag sums P_k = sum_t s_t s_{t+k} for k = 0..n, one dot product per lag."""
+    N = s.size
+    return np.array([s[: N - k] @ s[k:] for k in range(n + 1)])
+
+
 def estimate_lags(y: TimeSeries, n: int) -> np.ndarray:
     """Biased sample covariance lags r_k = (1/N) * sum_t y_t y_{t+k}.
 
@@ -98,8 +104,7 @@ def estimate_lags(y: TimeSeries, n: int) -> np.ndarray:
     N = y.n_samples
     if not 0 <= n < N:
         raise InvalidOrderError(f"lag order n={n} must satisfy 0 <= n < N={N}")
-    s = y.samples
-    return np.array([s[: N - k] @ s[k:] for k in range(n + 1)]) / N
+    return _lag_products(y.samples, n) / N
 
 
 def build_toeplitz(lags: np.ndarray) -> ToeplitzCovariance:

@@ -5,6 +5,11 @@ selection, the kernel-regularized maximum-entropy estimator in closed form,
 a kernel-regularized one-step-predictor baseline, and the minimum-phase root
 check applied to every estimate.
 
+The predictor baseline's statistics are blocks of one (n+1) x (n+1) Gram
+matrix of the covariance method, built by :func:`lagged_gram` as the
+autocorrelation sums minus the 2n edge rows of the zero-padded design. The
+N x n lagged design is never formed, so the baseline needs O(N + n^2) memory.
+
 Conventions: the estimated inverse spectral factor is the polynomial
 b(z) = sum_k b_k z^{-k}; its coefficient vector [b_0 ... b_n] has b_0 > 0 for
 all estimators here (b_0 is the inverse innovation standard deviation), and
@@ -23,6 +28,7 @@ from .covariance import (
     CholeskyFactor,
     TimeSeries,
     ToeplitzCovariance,
+    _lag_products,
     build_toeplitz,
     estimate_lags,
 )
@@ -244,15 +250,30 @@ def kernel_me_regularized_ls(
     return PredictorPolynomial(eta.lam * (K @ (phi.T @ t)))
 
 
-def _lagged_design(y: TimeSeries, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rows [y_{t-1} ... y_{t-n}] and targets y_t for t = n+1..N."""
+def lagged_gram(y: TimeSeries, n: int) -> np.ndarray:
+    """Gram matrix Z^T Z of the rows Z_t = [y_t, y_{t-1}, ..., y_{t-n}], t = n+1..N.
+
+    Its blocks are the one-step-predictor statistics: y^T y = G[0, 0],
+    X^T y = G[1:, 0] and X^T X = G[1:, 1:], with targets y_t and lagged rows
+    X_t = [y_{t-1} ... y_{t-n}]. Padding the series with n zeros at both ends
+    gives a windowed design whose Gram is toeplitz(P_0..P_n), with lag sums
+    P_k = sum_t y_t y_{t+k}; Z is that design without its n head rows H and
+    n tail rows T, so G = toeplitz(P) - (H^T H + T^T T). Only y[:n] and
+    y[N-n:] enter H and T, and Z is never formed: O(N n) time, O(n^2) memory.
+    """
+    N = y.n_samples
+    if n < 1 or N <= 2 * n:
+        raise InvalidOrderError(f"predictor baseline needs N > 2n >= 2, got N={N}, n={n}")
     s = y.samples
-    windows = np.lib.stride_tricks.sliding_window_view(s, n)[:-1]
-    return np.ascontiguousarray(windows[:, ::-1]), s[n:]
+    pad = np.zeros(n)
+    windows = np.lib.stride_tricks.sliding_window_view
+    H = windows(np.concatenate((pad, s[:n])), n + 1)[:, ::-1]
+    T = windows(np.concatenate((s[N - n :], pad)), n + 1)[:, ::-1]
+    return scipy.linalg.toeplitz(_lag_products(s, n)) - (H.T @ H + T.T @ T)
 
 
 def kernel_pem(
-    y: TimeSeries, n: int, spec: KernelSpec, eta: Hyperparameters
+    y: TimeSeries, gram: np.ndarray, spec: KernelSpec, eta: Hyperparameters
 ) -> PredictorPolynomial:
     """Kernel-regularized one-step-predictor baseline.
 
@@ -262,22 +283,25 @@ def kernel_pem(
     variance is the mean squared residual and the returned polynomial is
     (1 - sum_k a_k z^{-k}) / sigma_hat. Unlike the maximum-entropy routes, the
     result carries no minimum-phase guarantee.
+
+    ``gram`` is :func:`lagged_gram` of ``y`` at order n = gram.shape[0] - 1;
+    the normal equations use its blocks X^T X and X^T y. The residuals come
+    from filtering y with (1, -a) by ``np.convolve``, which is exact, O(N n)
+    time and O(N) memory; the quadratic form in the Gram would cancel badly
+    on nearly predictable series.
     """
-    N = y.n_samples
-    if n < 1 or N <= 2 * n:
-        raise InvalidOrderError(f"predictor baseline needs N > 2n >= 2, got N={N}, n={n}")
+    n = gram.shape[0] - 1
     _check_kernel_args(spec, eta, n + 1)
-    X, target = _lagged_design(y, n)
     # structured root of the trailing kernel block; a numerical Cholesky of
     # the block itself breaks down for decay rates near one
     B = trailing_block_root(spec)
-    gram = B.T @ (X.T @ X) @ B
-    M = eta.lam * gram + np.eye(n)
-    rhs = B.T @ (X.T @ target)
+    M = eta.lam * (B.T @ gram[1:, 1:] @ B) + np.eye(n)
+    rhs = B.T @ gram[1:, 0]
     a = eta.lam * (B @ _solve_spd(M, rhs))
-    resid = target - X @ a
+    predictor = np.concatenate(([1.0], -a))
+    resid = np.convolve(y.samples, predictor, mode="valid")
     sigma_hat = np.sqrt(np.mean(resid**2))
-    return PredictorPolynomial(np.concatenate(([1.0], -a)) / sigma_hat)
+    return PredictorPolynomial(predictor / sigma_hat)
 
 
 def check_min_phase(b: PredictorPolynomial) -> tuple[bool, float]:

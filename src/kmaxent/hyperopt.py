@@ -41,11 +41,11 @@ from .estimators import (
     EstimateResult,
     Method,
     WhittleDesign,
-    _lagged_design,
     build_whittle_design,
     check_min_phase,
     kernel_me,
     kernel_pem,
+    lagged_gram,
     preliminary_b0,
 )
 from .kernels import (
@@ -443,17 +443,18 @@ def run_pem_pipeline(
 
     Shares the marginal-likelihood search machinery with
     :func:`run_pipeline`, applied to the lagged-regression form of the data.
+    Its Gram is built once by :func:`lagged_gram` (autocorrelation sums minus
+    the 2n edge rows); the objective takes its blocks and :func:`kernel_pem`
+    the whole matrix, so no N x n design is formed and memory is O(N + n^2).
+    Raises InvalidOrderError unless N > 2n >= 2.
     """
-    N = y.n_samples
-    if n < 1 or N <= 2 * n:
-        raise InvalidOrderError(f"predictor baseline needs N > 2n >= 2, got N={N}, n={n}")
+    gram = lagged_gram(y, n)
     kernel_family = KernelFamily(kernel_family)
     b0 = _step("preliminary_b0", preliminary_b0, y, config.low_order)
-    X, target = _lagged_design(y, n)
-    objective = RidgeMarginal.regression(X.T @ X, X.T @ target, target @ target, b0, kernel_family)
+    objective = RidgeMarginal.regression(gram[1:, 1:], gram[1:, 0], gram[0, 0], b0, kernel_family)
     hyper = _step("hyperparameters", optimize_hyperparameters, objective, config)
     spec = KernelSpec(kernel_family, hyper.eta_hat.beta, n + 1)
-    b_hat = _step("kernel_pem", kernel_pem, y, n, spec, hyper.eta_hat)
+    b_hat = _step("kernel_pem", kernel_pem, y, gram, spec, hyper.eta_hat)
     df = objective.df(hyper.eta_hat)
     is_min_phase, max_modulus = check_min_phase(b_hat)
     tag = Method.PEM_DI if kernel_family is KernelFamily.DI else Method.PEM_TC

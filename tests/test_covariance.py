@@ -50,6 +50,13 @@ class TestEstimateLags:
         oracle = naive_lags(benchmark_series.samples, 50)
         np.testing.assert_allclose(lags, oracle, rtol=1e-12)
 
+    def test_one_dot_product_per_lag_divided_by_n(self, benchmark_series):
+        # the lag sums are shared with the predictor Gram; the divided lags
+        # must stay bitwise those of one slice dot product per lag
+        s, N = benchmark_series.samples, benchmark_series.n_samples
+        expected = np.array([s[: N - k] @ s[k:] for k in range(51)]) / N
+        assert np.array_equal(estimate_lags(benchmark_series, 50), expected)
+
     def test_order_out_of_range(self):
         y = TimeSeries(np.arange(5.0))
         with pytest.raises(InvalidOrderError):

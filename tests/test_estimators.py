@@ -17,10 +17,10 @@ from kmaxent.estimators import (
     kernel_me,
     kernel_me_regularized_ls,
     kernel_pem,
+    lagged_gram,
     me_bic,
     preliminary_b0,
     yule_walker,
-    _lagged_design,
 )
 from kmaxent.kernels import (
     Hyperparameters,
@@ -30,6 +30,7 @@ from kmaxent.kernels import (
     kernel_matrix,
 )
 from kmaxent.simulate import generate, random_arma
+from oracles import lagged_design
 
 
 def ar_series(coeffs, N, seed, sigma=1.0, burn=500):
@@ -244,16 +245,16 @@ class TestKernelPem:
         y = TimeSeries(1.3 * rng.standard_normal(2000))
         n = 10
         spec = KernelSpec(KernelFamily.DI, 0.8, n + 1)
-        b = kernel_pem(y, n, spec, Hyperparameters(1e-12, 0.8))
+        b = kernel_pem(y, lagged_gram(y, n), spec, Hyperparameters(1e-12, 0.8))
         assert np.all(np.abs(b.coeffs[1:]) < 1e-8)
-        _, target = _lagged_design(y, n)
+        _, target = lagged_design(y, n)
         assert abs(b.coeffs[0] - 1.0 / np.sqrt(np.mean(target**2))) < 1e-9
 
     def test_ar1_consistency_with_weak_penalty(self):
         y = ar_series([0.5], 10_000, 9)
         n = 5
         spec = KernelSpec(KernelFamily.TC, 0.8, n + 1)
-        b = kernel_pem(y, n, spec, Hyperparameters(1e6, 0.8))
+        b = kernel_pem(y, lagged_gram(y, n), spec, Hyperparameters(1e6, 0.8))
         a1 = -b.coeffs[1] / b.coeffs[0]
         assert abs(a1 - 0.5) < 0.05
 
@@ -263,14 +264,14 @@ class TestKernelPem:
         beta, lam = 0.85, 0.5
         spec = KernelSpec(KernelFamily.TC, beta, n + 1)
         eta = Hyperparameters(lam, beta)
-        X, target = _lagged_design(y, n)
+        X, target = lagged_design(y, n)
         kbar_inv = np.linalg.inv(kernel_matrix(spec)[1:, 1:])
 
         def objective(a):
             r = target - X @ a
             return r @ r + (a @ kbar_inv @ a) / lam
 
-        b_pem = kernel_pem(y, n, spec, eta)
+        b_pem = kernel_pem(y, lagged_gram(y, n), spec, eta)
         a_pem = -b_pem.coeffs[1:] / b_pem.coeffs[0]
         b_me = kernel_me(design, cov, spec, eta)
         a_me = -b_me.coeffs[1:] / b_me.coeffs[0]
@@ -280,8 +281,9 @@ class TestKernelPem:
         n, beta, lam = 12, 0.8, 0.4
         for family in KernelFamily:
             spec = KernelSpec(family, beta, n + 1)
-            b = kernel_pem(benchmark_series, n, spec, Hyperparameters(lam, beta))
-            X, target = _lagged_design(benchmark_series, n)
+            gram = lagged_gram(benchmark_series, n)
+            b = kernel_pem(benchmark_series, gram, spec, Hyperparameters(lam, beta))
+            X, target = lagged_design(benchmark_series, n)
             kbar_inv = np.linalg.inv(kernel_matrix(spec)[1:, 1:])
             a = np.linalg.solve(X.T @ X + kbar_inv / lam, X.T @ target)
             resid = target - X @ a
@@ -293,7 +295,57 @@ class TestKernelPem:
         y = TimeSeries(np.arange(20.0))
         spec = KernelSpec(KernelFamily.DI, 0.5, 11)
         with pytest.raises(InvalidOrderError):
-            kernel_pem(y, 10, spec, Hyperparameters(1.0, 0.5))
+            kernel_pem(y, lagged_gram(y, 10), spec, Hyperparameters(1.0, 0.5))
+
+
+def assert_gram_matches_dense(y, n):
+    X, target = lagged_design(y, n)
+    Z = np.column_stack((target, X))
+    expected = Z.T @ Z
+    gram = lagged_gram(y, n)
+    assert gram.shape == (n + 1, n + 1)
+    assert np.max(np.abs(gram - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+class TestLaggedGram:
+    @pytest.mark.parametrize(
+        "N, n", [(3, 1), (11, 5), (101, 50), (500, 50), (10_000, 1)]
+    )
+    def test_matches_dense_gram(self, N, n):
+        rng = np.random.default_rng(N + n)
+        assert_gram_matches_dense(TimeSeries(rng.standard_normal(N)), n)
+
+    def test_matches_dense_gram_with_large_mean(self):
+        rng = np.random.default_rng(5)
+        assert_gram_matches_dense(TimeSeries(1e3 + rng.standard_normal(500)), 50)
+
+    @pytest.mark.parametrize("scale", [1e-50, 1e50])
+    def test_matches_dense_gram_at_extreme_scale(self, scale, benchmark_series):
+        assert_gram_matches_dense(TimeSeries(scale * benchmark_series.samples), 50)
+
+    @pytest.mark.parametrize("N, n", [(20, 10), (10, 0)])
+    def test_rejects_short_series_or_zero_order(self, N, n):
+        with pytest.raises(InvalidOrderError):
+            lagged_gram(TimeSeries(np.arange(float(N))), n)
+
+    @pytest.mark.parametrize("series", ["benchmark", "nearly_predictable"])
+    def test_kernel_pem_residual_matches_dense_design(self, series, benchmark_series):
+        # the nearly predictable sinusoid has residuals ~1e-6 of its signal,
+        # where y^T y - 2 a^T X^T y + a^T X^T X a would lose most digits
+        if series == "benchmark":
+            y = benchmark_series
+        else:
+            rng = np.random.default_rng(8)
+            t = np.arange(2000)
+            y = TimeSeries(np.sin(0.3 * t) + 1e-6 * rng.standard_normal(t.size))
+        n = 12
+        spec = KernelSpec(KernelFamily.TC, 0.8, n + 1)
+        b = kernel_pem(y, lagged_gram(y, n), spec, Hyperparameters(1e3, 0.8))
+        a = -b.coeffs[1:] / b.coeffs[0]
+        X, target = lagged_design(y, n)
+        resid = target - X @ a
+        sigma_hat = np.sqrt(np.mean(resid**2))
+        assert abs(1.0 / b.coeffs[0] - sigma_hat) <= 1e-9 * sigma_hat
 
 
 class TestCheckMinPhase:

@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from kmaxent.covariance import TimeSeries, build_toeplitz, cholesky, estimate_lags
 from kmaxent.diagnostics import shrinkage_df
 from kmaxent.errors import InvalidOrderError, PipelineError
-from kmaxent.estimators import Method, _lagged_design, build_whittle_design, preliminary_b0
+from kmaxent.estimators import Method, build_whittle_design, preliminary_b0
 from kmaxent.harness import ExperimentConfig, fit_method
 from kmaxent.hyperopt import (
     MarginalObjective,
@@ -22,6 +24,8 @@ from kmaxent.kernels import (
     kernel_matrix,
     trailing_block_root,
 )
+from kmaxent.simulate import benchmark_arma, generate
+from oracles import lagged_design
 
 
 def small_objective(seed=3, N=30, n=2, family=KernelFamily.TC):
@@ -47,7 +51,7 @@ def dense_neg_log_marginal(obj, eta):
 
 
 def regression_objective(y, n, rows, b0, family):
-    X, target = _lagged_design(y, n)
+    X, target = lagged_design(y, n)
     X, target = X[:rows], target[:rows]
     obj = RegressionMarginalObjective(
         gram=X.T @ X,
@@ -157,7 +161,7 @@ class TestRidgeMarginalCore:
     @pytest.mark.parametrize("family", list(KernelFamily))
     def test_pem_df_matches_dense_trailing_root(self, family, benchmark_series):
         result = run_pem_pipeline(benchmark_series, 50, family)
-        X, _ = _lagged_design(benchmark_series, 50)
+        X, _ = lagged_design(benchmark_series, 50)
         B = trailing_block_root(KernelSpec(family, result.eta_hat.beta, 51))
         expected = shrinkage_df(np.linalg.eigvalsh(B.T @ (X.T @ X) @ B), result.eta_hat.lam)
         assert abs(result.df - expected) <= 1e-9 * expected
@@ -295,6 +299,19 @@ class TestRunPipeline:
         y = TimeSeries(np.arange(60.0))
         with pytest.raises(InvalidOrderError):
             run_pem_pipeline(y, 30, KernelFamily.DI)
+
+    @pytest.mark.parametrize("family", list(KernelFamily))
+    def test_pem_pipeline_memory_is_linear_in_n_samples(self, family):
+        # numpy reports its buffers to tracemalloc; an N x n lagged design at
+        # N = 2e5, n = 50 alone would be 80 MB, the series itself is 1.6 MB
+        y = generate(benchmark_arma(), 200_000, 7)
+        tracemalloc.start()
+        try:
+            run_pem_pipeline(y, 50, family)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
 
 
 @pytest.mark.xfail(
