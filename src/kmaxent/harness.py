@@ -12,8 +12,10 @@ the default output byte-stable.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import time
+from array import array
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -295,10 +297,14 @@ def summarize(records: list[TrialRecord], cfg: ExperimentConfig) -> dict:
 def estimate_file(cfg: ExperimentConfig, input_path: str) -> dict:
     """Run the requested methods on a one-column CSV of samples.
 
-    The file may carry an optional single header cell ``y``; any other
-    non-numeric row is a parse error naming the row. Writes ``result.json``
-    and ``spectrum.csv`` under ``cfg.output_path`` when set; returns the
-    result document.
+    The file is read as UTF-8 and holds one value per CSV record. Whitespace
+    around a value and empty cells are ignored, so ``1.0,`` is one value,
+    and blank rows are skipped. Row 1 may be the header ``y`` (any case).
+    Any other non-numeric row, a record with more than one non-empty cell,
+    or a file that is not UTF-8 is a ``DataParseError``; rows are numbered
+    per CSV record, so a quoted field spanning lines is one row. Writes
+    ``result.json`` and ``spectrum.csv`` under ``cfg.output_path`` when set;
+    returns the result document.
     """
     samples = _read_sample_column(input_path)
     if samples.size <= cfg.n:
@@ -337,24 +343,37 @@ def estimate_file(cfg: ExperimentConfig, input_path: str) -> dict:
 
 
 def _read_sample_column(path: str) -> np.ndarray:
+    # A line holding neither a comma nor a quote is one CSV record with one
+    # cell, and float() strips the same whitespace as str.strip(), so
+    # float(line) is the row rule's value. Other lines go through the row
+    # rule; a quoted field pulls its continuation lines from the file, so
+    # `i` counts CSV records.
+    values = array("d")
     try:
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-    except OSError as exc:
+        with open(path, newline="", encoding="utf-8") as fh:
+            for i, line in enumerate(fh, start=1):
+                try:
+                    values.append(float(line))
+                    continue
+                except ValueError:
+                    pass
+                try:
+                    row = next(csv.reader(itertools.chain([line], fh)))
+                except csv.Error as exc:
+                    raise DataParseError(f"row {i}: {exc}") from None
+                cells = [c.strip() for c in row if c.strip() != ""]
+                if not cells:
+                    continue
+                if len(cells) > 1:
+                    raise DataParseError(f"row {i}: expected a single column, got {len(cells)}")
+                if i == 1 and cells[0].lower() == "y":
+                    continue
+                try:
+                    values.append(float(cells[0]))
+                except ValueError:
+                    raise DataParseError(f"row {i}: non-numeric value {cells[0]!r}") from None
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataParseError(f"cannot read '{path}': {exc}") from exc
-    values: list[float] = []
-    for i, row in enumerate(rows, start=1):
-        cells = [c.strip() for c in row if c.strip() != ""]
-        if not cells:
-            continue
-        if len(cells) > 1:
-            raise DataParseError(f"row {i}: expected a single column, got {len(cells)}")
-        if i == 1 and cells[0].lower() == "y":
-            continue
-        try:
-            values.append(float(cells[0]))
-        except ValueError:
-            raise DataParseError(f"row {i}: non-numeric value {cells[0]!r}") from None
     if not values:
         raise DataParseError(f"no samples found in '{path}'")
     return np.array(values)

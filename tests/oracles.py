@@ -1,8 +1,11 @@
 """Dense reference implementations that the structured library code is checked against."""
 
+import csv
+
 import numpy as np
 
 from kmaxent.covariance import TimeSeries
+from kmaxent.errors import DataParseError
 
 
 def lagged_design(y: TimeSeries, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -10,3 +13,28 @@ def lagged_design(y: TimeSeries, n: int) -> tuple[np.ndarray, np.ndarray]:
     s = y.samples
     windows = np.lib.stride_tricks.sliding_window_view(s, n)[:-1]
     return np.ascontiguousarray(windows[:, ::-1]), s[n:]
+
+
+def read_sample_column(path: str) -> np.ndarray:
+    """The CSV sample reader as a plain row loop: csv.reader over the whole file."""
+    try:
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+    except OSError as exc:
+        raise DataParseError(f"cannot read '{path}': {exc}") from exc
+    values: list[float] = []
+    for i, row in enumerate(rows, start=1):
+        cells = [c.strip() for c in row if c.strip() != ""]
+        if not cells:
+            continue
+        if len(cells) > 1:
+            raise DataParseError(f"row {i}: expected a single column, got {len(cells)}")
+        if i == 1 and cells[0].lower() == "y":
+            continue
+        try:
+            values.append(float(cells[0]))
+        except ValueError:
+            raise DataParseError(f"row {i}: non-numeric value {cells[0]!r}") from None
+    if not values:
+        raise DataParseError(f"no samples found in '{path}'")
+    return np.array(values)

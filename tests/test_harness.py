@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from kmaxent.harness import (
     run_single_trial,
 )
 from kmaxent.simulate import benchmark_arma, generate
+from oracles import read_sample_column
 
 
 def read_csv(path):
@@ -208,6 +210,117 @@ class TestEstimateFile:
             estimate_file(cfg, str(data))
 
 
+# Pieces of the fuzzed CSV files: values the row rule accepts and rejects,
+# headers, whitespace that csv keeps but str.strip() and float() drop (some
+# of it a line break to str.splitlines() but not to a file), NUL, the three
+# line ends, and quotes, so that quoted fields span lines or never close.
+FUZZ_NUMBERS = (
+    "1.5", "-2.25e-3", "0", "7", "nan", "-inf", "Infinity", "1_0", ".5", "1e999",
+    "0.1000000000000000055511151231257827",
+)
+FUZZ_OTHER = ("y", "Y", "abc", "1.0.0", "1\x00", "", '"', '""')
+FUZZ_PADS = ("", "", "", "", " ", "\t", "\x0c", "\x85", "\u2028", "\u3000", "\x1c")
+FUZZ_ENDS = ("\n", "\n", "\r\n", "\r")
+
+
+def fuzz_file(rng):
+    def pick(choices):
+        return choices[rng.integers(len(choices))]
+
+    def value():
+        return pick(FUZZ_NUMBERS if rng.random() < 0.85 else FUZZ_OTHER)
+
+    lines = []
+    for _ in range(int(rng.integers(1, 8))):
+        cell = value()
+        if rng.random() < 0.1:
+            cell = '"' + cell + (pick(FUZZ_ENDS) + value()) * int(rng.integers(2)) + '"'
+        line = pick(FUZZ_PADS) + cell + pick(FUZZ_PADS)
+        if rng.random() < 0.1:
+            line += "," + pick(("", " ", value()))
+        lines.append(line + pick(FUZZ_ENDS))
+    if rng.random() < 0.3:
+        lines[-1] = lines[-1].rstrip("\r\n")
+    return "".join(lines)
+
+
+def write_bench_csv(path, samples):
+    """The benchmark's CSV format: header ``y``, one ``repr`` float per line."""
+    with open(path, "w") as fh:
+        fh.write("y\n")
+        fh.write("\n".join(map(repr, samples.tolist())))
+        fh.write("\n")
+    return path
+
+
+def parse_outcome(parse, path):
+    try:
+        return parse(path).tobytes()
+    except DataParseError as exc:
+        return str(exc)
+
+
+class TestReadSampleColumn:
+    """The line parser against the csv row loop in ``oracles``."""
+
+    def test_matches_row_loop_oracle_on_fuzzed_files(self, tmp_path):
+        rng = np.random.default_rng(20261018)
+        path = str(tmp_path / "fuzz.csv")
+        for case in range(2500):
+            text = fuzz_file(rng)
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+            try:
+                expected = parse_outcome(read_sample_column, path)
+            except csv.Error:
+                # csv.reader before Python 3.11 rejects NUL characters
+                with pytest.raises(DataParseError):
+                    harness._read_sample_column(path)
+                continue
+            assert parse_outcome(harness._read_sample_column, path) == expected, (case, text)
+
+    def test_bench_format_round_trips_bitwise(self, tmp_path):
+        y = generate(benchmark_arma(), 10_000, 11).samples
+        path = write_bench_csv(tmp_path / "series.csv", y)
+        got = harness._read_sample_column(str(path))
+        assert got.dtype == np.float64
+        assert got.tobytes() == y.tobytes()
+
+    def test_number_longer_than_csv_field_limit_accepted(self, tmp_path):
+        text = "1." + "0" * (2 * csv.field_size_limit()) + "1"
+        path = tmp_path / "long.csv"
+        path.write_text(f"y\n{text}\n2.5\n")
+        got = harness._read_sample_column(str(path))
+        np.testing.assert_array_equal(got, [float(text), 2.5])
+
+    def test_text_longer_than_csv_field_limit_names_row(self, tmp_path):
+        path = tmp_path / "long.csv"
+        path.write_text("1.0\n" + "x" * (2 * csv.field_size_limit()) + "\n")
+        with pytest.raises(DataParseError, match="^row 2: field larger than field limit"):
+            harness._read_sample_column(str(path))
+
+    def test_undecodable_file_names_file(self, tmp_path):
+        path = tmp_path / "utf16.csv"
+        path.write_bytes(b"\xff\xfe1\x00.\x005\x00\n\x00")
+        cfg = ExperimentConfig(methods=(Method.ME,), N=100, n=10)
+        with pytest.raises(DataParseError, match="cannot read '.*utf16.csv'.*utf-8"):
+            estimate_file(cfg, str(path))
+
+    def test_parse_memory_is_bounded(self, tmp_path):
+        # the array is 1.6 MB; holding every row as a list of cells plus a list
+        # of floats, as the csv row loop does, peaks at about 41 MB here
+        y = generate(benchmark_arma(), 200_000, 12).samples
+        path = write_bench_csv(tmp_path / "series.csv", y)
+        tracemalloc.start()
+        try:
+            got = harness._read_sample_column(str(path))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got.size == y.size
+        assert peak < 30e6
+
+
 class TestCli:
     def test_usage_error_exit_code(self, capsys):
         with pytest.raises(SystemExit) as exc_info:
@@ -221,6 +334,12 @@ class TestCli:
 
     def test_data_error_exit_code(self, tmp_path, capsys):
         assert cli.main(["estimate", str(tmp_path / "missing.csv")]) == 2
+
+    def test_undecodable_file_exit_code(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        data.write_bytes(b"\xff\xfe1.0\n")
+        assert cli.main(["estimate", str(data)]) == 2
+        assert "cannot read" in capsys.readouterr().err
 
     def test_single_success(self, tmp_path, capsys):
         code = cli.main([
