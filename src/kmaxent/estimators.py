@@ -19,6 +19,7 @@ the implied spectrum is 1 / |b(e^{j theta})|^2.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,23 +60,39 @@ class Method(str, enum.Enum):
 
 @dataclass(frozen=True)
 class PredictorPolynomial:
-    """Coefficients [b_0 ... b_n] of the estimated inverse spectral factor."""
+    """Coefficients [b_0 ... b_n] of the estimated inverse spectral factor.
+
+    ``coeffs`` is a read-only copy of the input, so the cached :attr:`roots`
+    always belong to it.
+    """
 
     coeffs: np.ndarray
 
     def __post_init__(self):
-        b = np.asarray(self.coeffs, dtype=float)
+        b = np.array(self.coeffs, dtype=float)
         if b.ndim != 1 or b.size == 0:
             raise InvalidDataError("coefficients must form a non-empty 1d vector")
         if not np.all(np.isfinite(b)):
             raise InvalidDataError("coefficients contain non-finite values")
         if b[0] == 0.0:
             raise InvalidDataError("leading coefficient b_0 must be nonzero")
+        b.flags.writeable = False
         object.__setattr__(self, "coeffs", b)
 
     @property
     def order(self) -> int:
         return self.coeffs.size - 1
+
+    @functools.cached_property
+    def roots(self) -> np.ndarray:
+        """Roots of b_0 z^n + b_1 z^{n-1} + ... + b_n by ``numpy.roots``.
+
+        Computed on first use and kept, so the minimum-phase check and the
+        spectrum's near-singular check share one companion-matrix solve.
+        """
+        roots = np.roots(self.coeffs)
+        roots.flags.writeable = False
+        return roots
 
 
 @dataclass(frozen=True)
@@ -308,10 +325,11 @@ def check_min_phase(b: PredictorPolynomial) -> tuple[bool, float]:
     """Explicit stability check of b(z) via companion-matrix eigenvalues.
 
     Roots of b_0 z^n + b_1 z^{n-1} + ... + b_n are computed with
-    ``numpy.roots``; returns (all roots strictly inside the unit circle,
-    maximum root modulus). The inequality is strict with no tolerance slack.
+    ``numpy.roots`` once per polynomial (:attr:`PredictorPolynomial.roots`);
+    returns (all roots strictly inside the unit circle, maximum root
+    modulus). The inequality is strict with no tolerance slack.
     """
-    roots = np.roots(b.coeffs)
+    roots = b.roots
     if roots.size == 0:
         return True, 0.0
     max_modulus = float(np.max(np.abs(roots)))

@@ -34,7 +34,7 @@ from .simulate import (
     frequency_grid,
     generate,
     random_arma,
-    reconstruction_error,
+    spectrum_error,
 )
 
 METHOD_ORDER = (Method.ME, Method.ME_DI, Method.ME_TC, Method.PEM_DI, Method.PEM_TC)
@@ -158,18 +158,12 @@ def fit_method(method: Method, y: TimeSeries, cfg: ExperimentConfig) -> Estimate
 
 
 def _record_from_result(
-    run_index: int,
-    method: Method,
-    result: EstimateResult,
-    truth: SpectrumModel,
-    cfg: ExperimentConfig,
-    elapsed_ms: float,
+    run_index: int, method: Method, result: EstimateResult, error: float, elapsed_ms: float
 ) -> TrialRecord:
-    err = reconstruction_error(SpectrumModel(result.b_hat), truth, cfg.grid_size)
     return TrialRecord(
         run_index=run_index,
         method=method,
-        reconstruction_error=err,
+        reconstruction_error=error,
         df=result.df,
         lam=result.eta_hat.lam if result.eta_hat is not None else None,
         beta=result.eta_hat.beta if result.eta_hat is not None else None,
@@ -182,10 +176,15 @@ def _record_from_result(
 
 def _run_trial(
     run_index: int, model: ArmaModel, y: TimeSeries, cfg: ExperimentConfig
-) -> tuple[list[TrialRecord], dict[Method, EstimateResult]]:
-    truth = SpectrumModel(model)
+) -> tuple[list[TrialRecord], dict[str, np.ndarray]]:
+    """Fit every method and score it against the true spectrum.
+
+    Returns the records and the spectra on the grid: ``truth``, evaluated
+    once for the trial, then one column per successful method.
+    """
+    truth = eval_spectrum(SpectrumModel(model), cfg.grid_size)
     records: list[TrialRecord] = []
-    results: dict[Method, EstimateResult] = {}
+    spectra = {"truth": truth}
     for method in cfg.methods:
         start = time.perf_counter()
         try:
@@ -194,11 +193,14 @@ def _run_trial(
             records.append(TrialRecord(run_index=run_index, method=method, error=str(exc)))
             continue
         elapsed_ms = (time.perf_counter() - start) * 1e3
-        results[method] = result
+        estimate = eval_spectrum(SpectrumModel(result.b_hat), cfg.grid_size)
+        spectra[method.value] = estimate
         records.append(
-            _record_from_result(run_index, method, result, truth, cfg, elapsed_ms)
+            _record_from_result(
+                run_index, method, result, spectrum_error(estimate, truth), elapsed_ms
+            )
         )
-    return records, results
+    return records, spectra
 
 
 def run_single_trial(cfg: ExperimentConfig) -> list[TrialRecord]:
@@ -210,14 +212,11 @@ def run_single_trial(cfg: ExperimentConfig) -> list[TrialRecord]:
     """
     model = benchmark_arma()
     y = generate(model, cfg.N, trial_seed(cfg.master_seed, 0, 1), cfg.burn_in)
-    records, results = _run_trial(0, model, y, cfg)
+    records, spectra = _run_trial(0, model, y, cfg)
     if cfg.output_path is not None:
         out = Path(cfg.output_path)
         out.mkdir(parents=True, exist_ok=True)
-        columns = {"truth": eval_spectrum(SpectrumModel(model), cfg.grid_size)}
-        for method, result in results.items():
-            columns[method.value] = eval_spectrum(SpectrumModel(result.b_hat), cfg.grid_size)
-        _write_spectra(out / "spectra.csv", cfg.grid_size, columns)
+        _write_spectra(out / "spectra.csv", cfg.grid_size, spectra)
         write_records(out / "records.csv", records, cfg.include_timings)
     return records
 
@@ -297,9 +296,10 @@ def summarize(records: list[TrialRecord], cfg: ExperimentConfig) -> dict:
 def estimate_file(cfg: ExperimentConfig, input_path: str) -> dict:
     """Run the requested methods on a one-column CSV of samples.
 
-    The file is read as UTF-8 and holds one value per CSV record. Whitespace
-    around a value and empty cells are ignored, so ``1.0,`` is one value,
-    and blank rows are skipped. Row 1 may be the header ``y`` (any case).
+    The file is read as UTF-8 and holds one value per CSV record; one
+    byte-order mark at its start is ignored. Whitespace around a value and
+    empty cells are ignored, so ``1.0,`` is one value, and blank rows are
+    skipped. Row 1 may be the header ``y`` (any case).
     Any other non-numeric row, a record with more than one non-empty cell,
     or a file that is not UTF-8 is a ``DataParseError``; rows are numbered
     per CSV record, so a quoted field spanning lines is one row. Writes
@@ -347,7 +347,8 @@ def _read_sample_column(path: str) -> np.ndarray:
     # cell, and float() strips the same whitespace as str.strip(), so
     # float(line) is the row rule's value. Other lines go through the row
     # rule; a quoted field pulls its continuation lines from the file, so
-    # `i` counts CSV records.
+    # `i` counts CSV records. float() rejects a byte-order mark, so a file
+    # that starts with one always reaches the row rule on row 1.
     values = array("d")
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -357,6 +358,8 @@ def _read_sample_column(path: str) -> np.ndarray:
                     continue
                 except ValueError:
                     pass
+                if i == 1 and line.startswith("\ufeff"):
+                    line = line[1:]
                 try:
                     row = next(csv.reader(itertools.chain([line], fh)))
                 except csv.Error as exc:

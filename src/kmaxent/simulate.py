@@ -187,20 +187,33 @@ def _warn_near_singular(roots: np.ndarray, grid: np.ndarray) -> None:
 def eval_spectrum(s: SpectrumModel, grid_size: int = 2048) -> np.ndarray:
     """Evaluate the spectrum on the shared frequency grid.
 
+    The true spectrum is |w(e^{j theta})|^2 from the numerator and
+    denominator polynomials. For an estimate, b(e^{j theta_k}) =
+    sum_m b_m e^{-j theta_k m} with theta_k = -pi + 2 pi k / G equals
+    sum_m x_m e^{-2 pi j k m / G} with x_m = (-1)^m b_m, so the response is
+    one length-G FFT of x. That kernel has period G in m, so coefficients
+    beyond the grid size are first folded onto x_0 .. x_{G-1} by summing
+    x_m over m modulo G; a plain zero-padded FFT would truncate them.
+
     A unit-circle root of the defining polynomial within 1e-12 of a grid
     point triggers a near-singular warning; the values are still returned.
+    An estimate's roots are its :attr:`PredictorPolynomial.roots`, which the
+    minimum-phase check has usually computed already.
     """
     grid = frequency_grid(grid_size)
-    unit = np.exp(1j * grid)
     if isinstance(s.source, ArmaModel):
         model = s.source
+        unit = np.exp(1j * grid)
         num = np.polyval(model.numerator(), unit)
         den = np.polyval(model.denominator(), unit)
         _warn_near_singular(np.array(model.zeros + model.poles), grid)
         return np.abs(num / den) ** 2
-    coeffs = s.source.coeffs
-    response = np.exp(-1j * np.outer(grid, np.arange(coeffs.size))) @ coeffs
-    _warn_near_singular(np.roots(coeffs), grid)
+    x = s.source.coeffs.copy()
+    x[1::2] = -x[1::2]
+    if x.size > grid_size:
+        x = np.pad(x, (0, -x.size % grid_size)).reshape(-1, grid_size).sum(axis=0)
+    response = np.fft.fft(x, grid_size)
+    _warn_near_singular(s.source.roots, grid)
     with np.errstate(divide="ignore"):
         return 1.0 / np.abs(response) ** 2
 
@@ -211,6 +224,15 @@ def _periodic_integral(values: np.ndarray) -> float:
     return float(np.mean(values) * 2.0 * np.pi)
 
 
+def spectrum_error(estimate: np.ndarray, truth: np.ndarray) -> float:
+    """:func:`reconstruction_error` of two spectra already on one grid.
+
+    Lets a caller that scores several estimates against one truth evaluate
+    the true spectrum once.
+    """
+    return _periodic_integral((estimate - truth) ** 2) / _periodic_integral(truth**2)
+
+
 def reconstruction_error(
     estimate: SpectrumModel, truth: SpectrumModel, grid_size: int = 2048
 ) -> float:
@@ -219,6 +241,4 @@ def reconstruction_error(
     integral(|est - true|^2) / integral(|true|^2), both by the trapezoidal
     rule on the shared grid.
     """
-    est = eval_spectrum(estimate, grid_size)
-    ref = eval_spectrum(truth, grid_size)
-    return _periodic_integral((est - ref) ** 2) / _periodic_integral(ref**2)
+    return spectrum_error(eval_spectrum(estimate, grid_size), eval_spectrum(truth, grid_size))

@@ -15,6 +15,14 @@ def lagged_design(y: TimeSeries, n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.ascontiguousarray(windows[:, ::-1]), s[n:]
 
 
+def direct_spectrum(coeffs: np.ndarray, grid_size: int) -> np.ndarray:
+    """1 / |sum_m b_m e^{-j theta_k m}|^2 from the grid_size x (n+1) exponential matrix."""
+    grid = -np.pi + 2.0 * np.pi * np.arange(grid_size) / grid_size
+    response = np.exp(-1j * np.outer(grid, np.arange(coeffs.size))) @ coeffs
+    with np.errstate(divide="ignore"):
+        return 1.0 / np.abs(response) ** 2
+
+
 def read_sample_column(path: str) -> np.ndarray:
     """The CSV sample reader as a plain row loop: csv.reader over the whole file."""
     try:

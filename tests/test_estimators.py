@@ -365,6 +365,25 @@ class TestCheckMinPhase:
         ok, mod = check_min_phase(PredictorPolynomial(np.array([2.0])))
         assert ok and mod == 0.0
 
+    def test_roots_computed_once_per_polynomial(self, monkeypatch):
+        calls = []
+        original = np.roots
+        monkeypatch.setattr(np, "roots", lambda c: calls.append(1) or original(c))
+        b = PredictorPolynomial(np.array([1.0, -0.9, 0.2]))
+        assert check_min_phase(b) == check_min_phase(b)
+        assert b.roots is b.roots
+        assert len(calls) == 1
+        np.testing.assert_allclose(np.sort_complex(b.roots), [0.4, 0.5], rtol=1e-12)
+
+    def test_coefficients_are_a_read_only_copy(self):
+        source = np.array([1.0, -0.5])
+        b = PredictorPolynomial(source)
+        source[1] = -2.0
+        assert b.coeffs[1] == -0.5
+        assert check_min_phase(b) == (True, 0.5)
+        with pytest.raises(ValueError):
+            b.coeffs[1] = -2.0
+
     def test_zero_leading_coefficient_rejected(self):
         with pytest.raises(InvalidDataError):
             PredictorPolynomial(np.array([0.0, 1.0]))

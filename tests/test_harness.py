@@ -18,7 +18,14 @@ from kmaxent.harness import (
     run_monte_carlo,
     run_single_trial,
 )
-from kmaxent.simulate import benchmark_arma, generate
+from kmaxent.simulate import (
+    ArmaModel,
+    SpectrumModel,
+    benchmark_arma,
+    generate,
+    random_arma,
+    reconstruction_error,
+)
 from oracles import read_sample_column
 
 
@@ -152,6 +159,41 @@ class TestMonteCarlo:
         assert summary["failed_records"] == 2
         assert summary["methods"]["me-di"]["failures"] == 2
         assert summary["methods"]["me"]["count"] == 2
+
+
+    def test_one_root_solve_per_fit_and_one_truth_spectrum_per_trial(self, monkeypatch):
+        cfg = ExperimentConfig(runs=2, master_seed=8)
+        roots_calls = []
+        original_roots = np.roots
+        monkeypatch.setattr(np, "roots", lambda c: roots_calls.append(1) or original_roots(c))
+        truths = []
+        original_eval = harness.eval_spectrum
+
+        def counting_eval(s, grid_size):
+            if isinstance(s.source, ArmaModel):
+                truths.append(s.source)
+            return original_eval(s, grid_size)
+
+        monkeypatch.setattr(harness, "eval_spectrum", counting_eval)
+        estimates = []
+        original_fit = harness.fit_method
+
+        def recording_fit(method, y, cfg):
+            result = original_fit(method, y, cfg)
+            estimates.append(result.b_hat)
+            return result
+
+        monkeypatch.setattr(harness, "fit_method", recording_fit)
+        records, _ = run_monte_carlo(cfg)
+        ok = [r for r in records if r.error is None]
+        assert len(records) == 10 and len(ok) == len(estimates)
+        assert len(roots_calls) == len(ok)
+        models = [random_arma(harness.trial_seed(cfg.master_seed, run, 0)) for run in (1, 2)]
+        assert truths == models
+        for record, b_hat in zip(ok, estimates):
+            truth = SpectrumModel(models[record.run_index - 1])
+            expected = reconstruction_error(SpectrumModel(b_hat), truth, cfg.grid_size)
+            assert record.reconstruction_error == expected
 
 
 class TestEstimateFile:
@@ -298,6 +340,39 @@ class TestReadSampleColumn:
         path.write_text("1.0\n" + "x" * (2 * csv.field_size_limit()) + "\n")
         with pytest.raises(DataParseError, match="^row 2: field larger than field limit"):
             harness._read_sample_column(str(path))
+
+    @pytest.mark.parametrize(
+        "data, expected",
+        [
+            (b"\xef\xbb\xbfy\n1.0\n2.0\n", [1.0, 2.0]),
+            (b"\xef\xbb\xbf1.0\n2.0\n", [1.0, 2.0]),
+            (b'\xef\xbb\xbf"Y"\r\n-3e2\r\n', [-300.0]),
+            (b"\xef\xbb\xbf\n1.5\n", [1.5]),
+        ],
+        ids=["header", "number", "quoted-header-crlf", "blank-row"],
+    )
+    def test_leading_byte_order_mark_ignored(self, tmp_path, data, expected):
+        # spreadsheet programs write "CSV UTF-8" with a byte-order mark
+        path = tmp_path / "bom.csv"
+        path.write_bytes(data)
+        got = harness._read_sample_column(str(path))
+        np.testing.assert_array_equal(got, expected)
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (b"\xef\xbb\xbf\xef\xbb\xbfy\n1.0\n", "row 1: non-numeric value '\\ufeffy'"),
+            (b"1.0\n\xef\xbb\xbf2.0\n", "row 2: non-numeric value '\\ufeff2.0'"),
+            (b"\xef\xbb\xbfx\n", "row 1: non-numeric value 'x'"),
+        ],
+        ids=["two-marks", "mark-on-row-2", "mark-before-text"],
+    )
+    def test_only_one_leading_byte_order_mark_stripped(self, tmp_path, data, message):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(data)
+        with pytest.raises(DataParseError) as info:
+            harness._read_sample_column(str(path))
+        assert str(info.value) == message
 
     def test_undecodable_file_names_file(self, tmp_path):
         path = tmp_path / "utf16.csv"

@@ -15,6 +15,7 @@ from kmaxent.simulate import (
     random_arma,
     reconstruction_error,
 )
+from oracles import direct_spectrum
 
 
 def white_noise_model(sigma):
@@ -145,6 +146,31 @@ class TestEvalSpectrum:
         with pytest.warns(RuntimeWarning, match="nearly singular"):
             values = eval_spectrum(SpectrumModel(b), 64)
         assert values.size == 64  # values still returned
+
+    @pytest.mark.parametrize(
+        "size, grid_size", [(2, 2), (7, 3), (51, 16), (51, 2048), (51, 2049), (300, 64)]
+    )
+    @pytest.mark.parametrize("scale", [1.0, 1e100, 1e-100])
+    def test_matches_direct_oracle(self, size, grid_size, scale):
+        # b_0 = 1 dominates the tail (sum |b_m| <= 0.5 for m >= 1), so
+        # |b(e^{j theta})| >= 0.5 and the relative comparison is well posed;
+        # sizes above the grid size exercise the fold
+        rng = np.random.default_rng(size * 10_000 + grid_size)
+        tail = rng.uniform(-1.0, 1.0, size - 1) * 0.5 / (size - 1)
+        coeffs = scale * np.concatenate(([1.0], tail))
+        got = eval_spectrum(SpectrumModel(PredictorPolynomial(coeffs)), grid_size)
+        assert got.shape == (grid_size,)
+        np.testing.assert_allclose(got, direct_spectrum(coeffs, grid_size), rtol=1e-12)
+
+    def test_folded_near_singular_warning(self):
+        # 1 - z^{-16} vanishes at the 16th roots of unity, which are the
+        # grid points for G = 16; its 17 coefficients fold onto 16
+        grid_size = 16
+        coeffs = np.zeros(grid_size + 1)
+        coeffs[0], coeffs[-1] = 1.0, -1.0
+        with pytest.warns(RuntimeWarning, match="nearly singular"):
+            values = eval_spectrum(SpectrumModel(PredictorPolynomial(coeffs)), grid_size)
+        assert values.size == grid_size
 
     def test_grid_size_validation(self):
         with pytest.raises(InvalidDataError):
