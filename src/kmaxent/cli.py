@@ -50,7 +50,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         action="store_const",
         const=False,
         dest="refine",
-        help="skip the simplex refinement stage of the hyperparameter search",
+        help="keep the best grid point of the hyperparameter search, without refinement",
     )
     parser.add_argument(
         "--timings",

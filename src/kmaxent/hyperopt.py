@@ -7,11 +7,13 @@ likelihood, implemented once in :class:`RidgeMarginal` on the reduced form
 B^T G B of the Gram matrix G and the structured kernel root B.
 
 The surface is not convex, so the search is a deterministic two-stage
-procedure: an exhaustive coarse grid over (log10 lambda, beta), scored with
-one eigendecomposition of the reduced form per beta, followed by a
-Nelder-Mead refinement in (log lambda, logit beta), coordinates in which the
-open-box constraints lambda > 0 and 0 < beta < 1 hold automatically; each
-refinement point costs one Cholesky of the reduced n x n form.
+procedure inside the box of the grid: an exhaustive coarse grid over
+(log10 lambda, beta), then a refinement of the lambda-profiled likelihood.
+One eigendecomposition of the reduced n x n form per beta gives the whole
+lambda profile at O(n) per lambda, so each beta's best lambda is polished by
+safeguarded Newton steps on the closed-form derivatives, and a bounded Brent
+search (R. Brent, 1973) over beta follows, one eigendecomposition per beta it
+tries (T. Chen and L. Ljung, Automatica 2013).
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.linalg
+import scipy.optimize
 
 from .covariance import (
     JitterPolicy,
@@ -56,6 +59,16 @@ from .kernels import (
 )
 
 
+# The lambda polish takes at most 50 steps (bisection alone narrows a bracket
+# to 2^-50 of its width). It stops once each beta's last Newton step in
+# ln lambda is below 1e-4, which leaves an error of order 1e-8, or its
+# bisected bracket is narrower than 1e-7.
+_NEWTON_STEPS = 50
+_NEWTON_STEP_TOL = 1e-4
+_BRACKET_TOL = 1e-7
+_BETA_TOL = 1e-7  # absolute tolerance of the bounded Brent search over beta
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     """Knobs of the kernel-based pipelines (defaults match the experiments)."""
@@ -69,8 +82,6 @@ class PipelineConfig:
     beta_max: float = 0.95
     beta_step: float = 0.05
     refine: bool = True
-    refine_diameter_tol: float = 1e-6
-    refine_max_evals: int = 500
     jitter: JitterPolicy = field(default_factory=JitterPolicy)
 
 
@@ -155,24 +166,63 @@ class RidgeMarginal:
         z = scipy.linalg.solve_triangular(L, w, lower=True, check_finite=False)
         return 0.5 * (log_det + self.noise_precision * (self.target_ss - eta.lam * (z @ z)))
 
-    def grid_values(self, lams: np.ndarray, betas: np.ndarray) -> np.ndarray:
-        """Objective on the grid lams x betas, shape (len(lams), len(betas)).
+    def _score(self, s: np.ndarray, u2: np.ndarray, lam: np.ndarray) -> np.ndarray:
+        """Objective from eigenvalues s of A and u2 = (Q^T w)^2, one row per
+        beta: log det = sum log(1 + lam s) and w^T (I + lam A)^{-1} w =
+        sum u2 / (1 + lam s), summed over the last axis. ``lam`` carries a
+        trailing unit axis and broadcasts against the rows."""
+        lam_s = lam * s
+        quad = self.target_ss - lam[..., 0] * (u2 / (1.0 + lam_s)).sum(axis=-1)
+        return 0.5 * (np.log1p(lam_s).sum(axis=-1) + self.noise_precision * quad)
 
-        One eigendecomposition A = Q diag(s) Q^T per beta; then for each lam
-        log det = sum log(1 + lam s) and w^T (I + lam A)^{-1} w =
-        sum (Q^T w)^2 / (1 + lam s), both O(n).
+    def profile(self, lams: np.ndarray, betas) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Grid values, shape (len(lams), len(betas)), and each beta's polished
+        best lambda in the box of the ascending ``lams`` with its value.
+
+        One eigendecomposition A = Q diag(s) Q^T per beta gives u2 =
+        (Q^T w)^2. Each beta's grid argmin is then polished by safeguarded
+        Newton steps on x = ln lam, inside the bracket of its grid neighbours.
+        With d = 1 / (1 + lam s), a = lam s d and q = p lam u2 d^2 the
+        derivatives are g = df/dx = 0.5 sum(a - q) and
+        h = d2f/dx2 = g + 0.5 sum(a (2q - a)). The value returned is never
+        above the grid minimum.
         """
-        lams = np.asarray(lams, dtype=float)[:, None]
-        values = np.empty((lams.size, len(betas)))
+        lams = np.asarray(lams, dtype=float)
+        s, u2 = np.empty((2, len(betas), self.reduced_moment.size))
         for j, beta in enumerate(betas):
             A, w = self._reduced(float(beta))
-            s, Q = np.linalg.eigh(A)
-            s = np.clip(s, 0.0, None)
-            u2 = (Q.T @ w) ** 2
-            log_det = np.sum(np.log1p(lams * s), axis=1)
-            quad = self.target_ss - lams[:, 0] * np.sum(u2 / (1.0 + lams * s), axis=1)
-            values[:, j] = 0.5 * (log_det + self.noise_precision * quad)
-        return values
+            s[j], Q = np.linalg.eigh(A)
+            u2[j] = (Q.T @ w) ** 2
+        s = np.clip(s, 0.0, None)
+        values = self._score(s, u2, lams[:, None, None])
+        best = np.argmin(values, axis=0)
+        x0 = np.log(lams[best])
+        lo = np.log(lams[np.maximum(best - 1, 0)])
+        hi = np.log(lams[np.minimum(best + 1, lams.size - 1)])
+        x, pu2 = x0, self.noise_precision * u2
+        for _ in range(_NEWTON_STEPS):
+            lam = np.exp(x)[:, None]
+            d = 1.0 / (1.0 + lam * s)
+            a, q = lam * s * d, lam * pu2 * d * d
+            g = 0.5 * (a - q).sum(axis=1)
+            h = g + 0.5 * (a * (2.0 * q - a)).sum(axis=1)
+            # the minimum lies downhill of x; a step that leaves the bracket,
+            # or has no positive curvature, bisects it instead
+            lo, hi = np.where(g < 0.0, x, lo), np.where(g > 0.0, x, hi)
+            newton = x - g / np.where(h > 0.0, h, np.inf)
+            inside = (lo <= newton) & (newton <= hi)
+            x, step = np.where(inside, newton, 0.5 * (lo + hi)), np.abs(newton - x)
+            if np.all(np.where(inside, step <= _NEWTON_STEP_TOL, hi - lo <= _BRACKET_TOL)):
+                break
+        lam = np.where(x == x0, lams[best], np.clip(np.exp(x), lams[0], lams[-1]))
+        polished = self._score(s, u2, lam[:, None])
+        grid_best = values[best, np.arange(best.size)]
+        keep = polished < grid_best
+        return values, np.where(keep, lam, lams[best]), np.where(keep, polished, grid_best)
+
+    def grid_values(self, lams: np.ndarray, betas: np.ndarray) -> np.ndarray:
+        """Objective on the grid lams x betas, shape (len(lams), len(betas))."""
+        return self.profile(lams, betas)[0]
 
     def df(self, eta: Hyperparameters) -> float:
         """Ridge degrees of freedom from the eigenvalues of A at eta."""
@@ -198,6 +248,9 @@ class MarginalObjective:
 
     def grid_values(self, lams: np.ndarray, betas: np.ndarray) -> np.ndarray:
         return self.core.grid_values(lams, betas)
+
+    def profile(self, lams: np.ndarray, betas):
+        return self.core.profile(lams, betas)
 
 
 @dataclass(frozen=True)
@@ -230,15 +283,24 @@ class RegressionMarginalObjective:
     def grid_values(self, lams: np.ndarray, betas: np.ndarray) -> np.ndarray:
         return self.core.grid_values(lams, betas)
 
+    def profile(self, lams: np.ndarray, betas):
+        return self.core.profile(lams, betas)
+
 
 @dataclass(frozen=True)
 class HyperoptResult:
-    """Outcome of the two-stage search; eta_hat attains the trace minimum."""
+    """Outcome of the two-stage search; eta_hat attains the trace minimum.
+
+    The edge flags are set when lambda or beta lies on the boundary of the
+    search box, where the likelihood may keep falling outside it.
+    """
 
     eta_hat: Hyperparameters
     objective_value: float
     evaluations: int
     trace: tuple[tuple[float, float, float], ...]
+    lambda_on_edge: bool
+    beta_on_edge: bool
 
 
 def neg_log_marginal(obj: MarginalObjective, eta: Hyperparameters) -> float:
@@ -259,122 +321,54 @@ def _grid(lo: float, hi: float, step: float) -> np.ndarray:
     return np.linspace(lo, hi, count)
 
 
-def _simplex_diameter(points: list[np.ndarray]) -> float:
-    return max(
-        float(np.linalg.norm(p - q)) for i, p in enumerate(points) for q in points[i + 1 :]
-    )
-
-
-def _nelder_mead(f, x0: np.ndarray, diameter_tol: float, max_evals: int) -> None:
-    """Minimal deterministic Nelder-Mead (reflection 1, expansion 2,
-    contraction 0.5, shrink 0.5) run purely for its side effect of evaluating
-    ``f``; the caller keeps the running minimum. Stops when the simplex
-    diameter drops below ``diameter_tol`` or the evaluation budget is spent.
-    """
-    dim = x0.size
-    step = 0.25
-    points = [np.array(x0, dtype=float)]
-    for i in range(dim):
-        vertex = np.array(x0, dtype=float)
-        vertex[i] += step
-        points.append(vertex)
-    values = [f(p) for p in points]
-    evals = dim + 1
-
-    while evals < max_evals:
-        order = np.argsort(values, kind="stable")
-        points = [points[i] for i in order]
-        values = [values[i] for i in order]
-        if _simplex_diameter(points) < diameter_tol:
-            return
-        centroid = np.mean(points[:-1], axis=0)
-        reflected = centroid + (centroid - points[-1])
-        f_reflected = f(reflected)
-        evals += 1
-        if f_reflected < values[0]:
-            if evals >= max_evals:
-                points[-1], values[-1] = reflected, f_reflected
-                return
-            expanded = centroid + 2.0 * (reflected - centroid)
-            f_expanded = f(expanded)
-            evals += 1
-            if f_expanded < f_reflected:
-                points[-1], values[-1] = expanded, f_expanded
-            else:
-                points[-1], values[-1] = reflected, f_reflected
-            continue
-        if f_reflected < values[-2]:
-            points[-1], values[-1] = reflected, f_reflected
-            continue
-        if evals >= max_evals:
-            return
-        if f_reflected < values[-1]:
-            contracted = centroid + 0.5 * (reflected - centroid)
-        else:
-            contracted = centroid + 0.5 * (points[-1] - centroid)
-        f_contracted = f(contracted)
-        evals += 1
-        if f_contracted < min(f_reflected, values[-1]):
-            points[-1], values[-1] = contracted, f_contracted
-            continue
-        # shrink toward the best vertex
-        for i in range(1, dim + 1):
-            if evals >= max_evals:
-                return
-            points[i] = points[0] + 0.5 * (points[i] - points[0])
-            values[i] = f(points[i])
-            evals += 1
-
-
 def optimize_hyperparameters(obj, config: PipelineConfig = PipelineConfig()) -> HyperoptResult:
-    """Two-stage deterministic search for (lambda, beta).
+    """Two-stage deterministic search for (lambda, beta) inside the grid box.
 
-    Stage 1 scores the full grid in one ``obj.grid_values(lams, betas)`` call;
+    Stage 1 scores the full grid in one ``obj.profile(lams, betas)`` call;
     for the ridge-marginal objectives that is one eigendecomposition of the
     reduced n x n form per beta and O(n) per lambda. The trace lists the grid
     first, ascending log10 lambda outer and ascending beta inner. Stage 2
-    refines from the best grid point with Nelder-Mead in (log lambda, logit
-    beta) through ``obj.evaluate``, one Cholesky of the reduced form per
-    point. The returned pair attains the minimum over every evaluation made,
-    so the result is never worse than the best grid point.
+    (skipped when ``config.refine`` is false) adds each grid beta's polished
+    best lambda, then runs a bounded Brent search over the lambda-profiled
+    likelihood between the grid neighbours of the best beta, one
+    ``obj.profile`` of a single beta per point. Every point stays in the box,
+    and the returned pair attains the minimum over the trace, so the result is
+    never worse than the best grid point.
     """
-    trace: list[tuple[float, float, float]] = []
-
-    def evaluate(lam: float, beta: float) -> float:
-        value = float(obj.evaluate(Hyperparameters(lam, beta)))
-        trace.append((lam, beta, value))
-        return value
-
     log10_lams = _grid(config.log10_lambda_min, config.log10_lambda_max, config.log10_lambda_step)
     # scalar powers: numpy's vectorized power can differ in the last bit
-    lams = [10.0 ** float(x) for x in log10_lams]
+    lams = np.array([10.0 ** float(x) for x in log10_lams])
     betas = [float(b) for b in _grid(config.beta_min, config.beta_max, config.beta_step)]
-    values = obj.grid_values(np.array(lams), np.array(betas))
-    for i, lam in enumerate(lams):
-        trace.extend((lam, beta, float(values[i, j])) for j, beta in enumerate(betas))
+    values, lam_star, value_star = obj.profile(lams, betas)
+    trace = [
+        (lam, beta, value)
+        for lam, row in zip(lams.tolist(), values.tolist())
+        for beta, value in zip(betas, row)
+    ]
 
-    rejected = 0
     if config.refine:
-        lam0, beta0, _ = min(trace, key=lambda entry: entry[2])
+        trace.extend(zip(lam_star.tolist(), betas, value_star.tolist()))
+        j = int(np.argmin(value_star))
+        lo, hi = betas[max(j - 1, 0)], betas[min(j + 1, len(betas) - 1)]
 
-        def transformed(x: np.ndarray) -> float:
-            lam = float(np.exp(x[0]))
-            beta = 1.0 / (1.0 + np.exp(-x[1]))
-            if not (np.isfinite(lam) and lam > 0.0 and 0.0 < beta < 1.0):
-                nonlocal rejected
-                rejected += 1
-                return np.inf
-            return evaluate(lam, beta)
+        def profiled(beta: float) -> float:
+            _, lam, value = obj.profile(lams, [float(beta)])
+            trace.append((float(lam[0]), float(beta), float(value[0])))
+            return float(value[0])
 
-        start = np.array([np.log(lam0), np.log(beta0) - np.log1p(-beta0)])
-        _nelder_mead(transformed, start, config.refine_diameter_tol, config.refine_max_evals)
+        if lo < hi:
+            scipy.optimize.minimize_scalar(
+                profiled, bounds=(lo, hi), method="bounded", options={"xatol": _BETA_TOL}
+            )
 
     lam_best, beta_best, value_best = min(trace, key=lambda entry: entry[2])
     return HyperoptResult(
         eta_hat=Hyperparameters(lam_best, beta_best),
         objective_value=value_best,
-        evaluations=len(trace) + rejected,
+        evaluations=len(trace),
         trace=tuple(trace),
+        lambda_on_edge=bool(not lams[0] < lam_best < lams[-1]),
+        beta_on_edge=bool(not betas[0] < beta_best < betas[-1]),
     )
 
 

@@ -7,7 +7,7 @@ from kmaxent.covariance import TimeSeries, build_toeplitz, cholesky, estimate_la
 from kmaxent.diagnostics import shrinkage_df
 from kmaxent.errors import InvalidOrderError, PipelineError
 from kmaxent.estimators import Method, build_whittle_design, preliminary_b0
-from kmaxent.harness import ExperimentConfig, fit_method
+from kmaxent.harness import ExperimentConfig, estimate_file, fit_method
 from kmaxent.hyperopt import (
     MarginalObjective,
     PipelineConfig,
@@ -28,13 +28,16 @@ from kmaxent.simulate import benchmark_arma, generate
 from oracles import lagged_design
 
 
-def small_objective(seed=3, N=30, n=2, family=KernelFamily.TC):
-    rng = np.random.default_rng(seed)
-    y = TimeSeries(rng.standard_normal(N))
-    b0 = preliminary_b0(y, 1)
+def whittle_objective(y, n, family, low_order=4):
+    b0 = preliminary_b0(y, low_order)
     cov = build_toeplitz(estimate_lags(y, n))
-    design = build_whittle_design(cholesky(cov), b0, N, n)
-    return MarginalObjective(design=design, cov=cov, kernel_family=family, N=N, n=n)
+    design = build_whittle_design(cholesky(cov), b0, y.n_samples, n)
+    return MarginalObjective(design=design, cov=cov, kernel_family=family, N=y.n_samples, n=n)
+
+
+def small_objective(seed=3, N=30, n=2, family=KernelFamily.TC):
+    y = TimeSeries(np.random.default_rng(seed).standard_normal(N))
+    return whittle_objective(y, n, family, low_order=1)
 
 
 def dense_neg_log_marginal(obj, eta):
@@ -159,6 +162,28 @@ class TestRidgeMarginalCore:
                         assert abs(grid[i, j] - other) <= 1e-8 * max(1.0, abs(other))
 
     @pytest.mark.parametrize("family", list(KernelFamily))
+    def test_profile_polish_beats_a_dense_lambda_scan(self, family, benchmark_setup):
+        # the polished lambda of each beta is checked against a 2001-point scan
+        # of ln lambda over its grid bracket, scored by Cholesky
+        _, cov, _, design = benchmark_setup
+        obj = MarginalObjective(design=design, cov=cov, kernel_family=family, N=500, n=50)
+        lams = np.array([10.0**lg for lg in np.linspace(-4, 4, 17)])
+        betas = [0.3, 0.7, 0.9]
+        values, lam_star, value_star = obj.profile(lams, betas)
+        for j, beta in enumerate(betas):
+            i = int(np.argmin(values[:, j]))
+            lo, hi = lams[max(i - 1, 0)], lams[min(i + 1, 16)]
+            assert lo <= lam_star[j] <= hi
+            scan = min(
+                obj.evaluate(Hyperparameters(float(lam), beta))
+                for lam in np.exp(np.linspace(np.log(lo), np.log(hi), 2001))
+            )
+            tol = 1e-12 * max(1.0, abs(scan))
+            assert value_star[j] <= scan + tol
+            exact = obj.evaluate(Hyperparameters(float(lam_star[j]), beta))
+            assert abs(value_star[j] - exact) <= 1e-10 * max(1.0, abs(exact))
+
+    @pytest.mark.parametrize("family", list(KernelFamily))
     def test_pem_df_matches_dense_trailing_root(self, family, benchmark_series):
         result = run_pem_pipeline(benchmark_series, 50, family)
         X, _ = lagged_design(benchmark_series, 50)
@@ -192,15 +217,21 @@ def _quadrature_neg_log(obj, eta):
 
 
 class _Bowl:
-    """Test seam: quadratic bowl in the transformed coordinates."""
+    """Test seam: quadratic bowl in (log lambda, logit beta)."""
 
     def evaluate(self, eta):
         return self.grid_values(np.array([eta.lam]), np.array([eta.beta]))[0, 0]
 
     def grid_values(self, lams, betas):
         u = np.log(lams)[:, None]
+        betas = np.asarray(betas)
         t = (np.log(betas) - np.log1p(-betas))[None, :]
         return u**2 + t**2
+
+    def profile(self, lams, betas):
+        # every beta's profile is minimized at lambda = 1, clipped to the box
+        best = np.full(len(betas), np.clip(1.0, lams[0], lams[-1]))
+        return self.grid_values(lams, betas), best, self.grid_values(best[:1], betas)[0]
 
 
 class TestOptimizeHyperparameters:
@@ -314,14 +345,72 @@ class TestRunPipeline:
         assert peak < 16e6
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=PipelineError,
-    reason="ROADMAP item 3: the unbounded refinement walks off flat likelihood "
-    "ridges until kernel_me overflows",
-)
 @pytest.mark.parametrize("seed", [0, 2, 3])
 def test_white_noise_me_tc_fit_is_minimum_phase(seed):
     y = TimeSeries(np.random.default_rng(seed).standard_normal(500))
     result = fit_method(Method.ME_TC, y, ExperimentConfig())
     assert result.min_phase_verified
+
+
+def unit_spike():
+    y = np.zeros(300)
+    y[150] = 1.0
+    return TimeSeries(y)
+
+
+@pytest.mark.parametrize("method", list(Method))
+def test_unit_spike_fits_every_method(method):
+    # an unbounded search follows the spike's flat likelihood ridge out of the
+    # box until the coefficient solve overflows
+    result = fit_method(method, unit_spike(), ExperimentConfig(n=20))
+    assert np.all(np.isfinite(result.b_hat.coeffs))
+    if result.eta_hat is not None:
+        assert 1e-4 <= result.eta_hat.lam <= 1e4 and 0.05 <= result.eta_hat.beta <= 0.95
+    if method in (Method.ME, Method.ME_DI, Method.ME_TC):
+        assert result.min_phase_verified
+
+
+def test_white_noise_hyperparameters_stay_in_the_box_as_plain_floats():
+    kernel_methods = (Method.ME_DI, Method.ME_TC, Method.PEM_DI, Method.PEM_TC)
+    for seed in range(40):
+        y = TimeSeries(np.random.default_rng(seed).standard_normal(500))
+        for method in kernel_methods:
+            eta = fit_method(method, y, ExperimentConfig()).eta_hat
+            assert 1e-4 <= eta.lam <= 1e4 and 0.05 <= eta.beta <= 0.95, (seed, method, eta)
+            assert type(eta.lam) is float and type(eta.beta) is float, (seed, method, eta)
+
+
+class TestBoxEdge:
+    def test_spike_optimum_sits_on_the_beta_edge(self):
+        obj = whittle_objective(unit_spike(), 20, KernelFamily.TC)
+        result = optimize_hyperparameters(obj, PipelineConfig(n=20))
+        assert result.eta_hat.beta == 0.05
+        assert result.beta_on_edge
+
+    def test_interior_optimum_is_off_both_edges(self):
+        result = optimize_hyperparameters(_Bowl(), PipelineConfig())
+        assert not result.lambda_on_edge
+        assert not result.beta_on_edge
+
+    def test_edge_flags_are_not_written_to_the_default_outputs(self, tmp_path):
+        path = tmp_path / "spike.csv"
+        path.write_text("".join(f"{v!r}\n" for v in unit_spike().samples.tolist()))
+        out = tmp_path / "out"
+        estimate_file(ExperimentConfig(n=20, output_path=str(out)), str(path))
+        for written in out.iterdir():
+            assert "on_edge" not in written.read_text(), written.name
+
+
+def test_no_refine_traces_exactly_the_grid(benchmark_setup):
+    _, cov, _, design = benchmark_setup
+    obj = MarginalObjective(design=design, cov=cov, kernel_family=KernelFamily.TC, N=500, n=50)
+    result = optimize_hyperparameters(obj, PipelineConfig(refine=False))
+    lams = [10.0**lg for lg in np.linspace(-4, 4, 17)]
+    betas = np.linspace(0.05, 0.95, 19)
+    expected = obj.grid_values(np.array(lams), betas)
+    assert result.evaluations == 323
+    assert len(result.trace) == 323
+    np.testing.assert_allclose(
+        [e[:2] for e in result.trace], [(lam, beta) for lam in lams for beta in betas], rtol=1e-15
+    )
+    assert [e[2] for e in result.trace] == expected.ravel().tolist()
