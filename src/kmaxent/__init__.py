@@ -2,14 +2,13 @@
 
 from .covariance import (
     CholeskyFactor,
-    JitterPolicy,
     TimeSeries,
     ToeplitzCovariance,
     build_toeplitz,
     cholesky,
     estimate_lags,
 )
-from .diagnostics import DiagnosticsReport, degrees_of_freedom, shrinkage_df
+from .diagnostics import degrees_of_freedom, shrinkage_df
 from .errors import (
     DataParseError,
     InvalidDataError,
@@ -48,7 +47,6 @@ from .hyperopt import (
     HyperoptResult,
     MarginalObjective,
     PipelineConfig,
-    RegressionMarginalObjective,
     RidgeMarginal,
     neg_log_marginal,
     optimize_hyperparameters,

@@ -20,7 +20,11 @@ from .errors import KmaxentError
 from .estimators import Method
 from .harness import ExperimentConfig, estimate_file, run_monte_carlo, run_single_trial
 
-_CONFIG_KEYS = frozenset(f.name for f in dataclasses.fields(ExperimentConfig))
+_DEFAULTS = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)}
+_CONFIG_KEYS = frozenset(_DEFAULTS)
+# config-file types a field accepts besides its default's: an int where a
+# float is expected, and a path where the default is None
+_ALSO_ACCEPTED = {float: (int,), type(None): (str,)}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -83,10 +87,14 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _parse_methods(raw: str, parser: _Parser) -> tuple[Method, ...]:
-    names = [token.strip() for token in raw.split(",") if token.strip()]
+def _parse_methods(raw, parser: _Parser) -> tuple[Method, ...]:
+    """Methods from the comma-separated flag value or a config file's string or list."""
+    tokens = raw.split(",") if isinstance(raw, str) else raw
+    if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
+        parser.error(f"methods must be a string or a list of strings, got {raw!r}")
+    names = [token.strip() for token in tokens if token.strip()]
     if not names:
-        parser.error("--methods requires at least one method name")
+        parser.error("at least one method name is required")
     try:
         return tuple(Method(name) for name in names)
     except ValueError:
@@ -103,11 +111,18 @@ def _load_config(args: argparse.Namespace, parser: _Parser) -> ExperimentConfig:
                 loaded = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             parser.error(f"cannot load config file: {exc}")
+        if not isinstance(loaded, dict):
+            parser.error("config file must hold a JSON object")
         unknown = set(loaded) - _CONFIG_KEYS
         if unknown:
             parser.error(f"unknown config keys: {sorted(unknown)}")
+        for key, value in loaded.items():
+            expected = (type(_DEFAULTS[key]),) + _ALSO_ACCEPTED.get(type(_DEFAULTS[key]), ())
+            if key != "methods" and type(value) not in expected:
+                names = " or ".join(t.__name__ for t in expected)
+                parser.error(f"config key {key!r} must be {names}, got {value!r}")
         values.update(loaded)
-    if isinstance(values.get("methods"), str):
+    if "methods" in values:
         values["methods"] = _parse_methods(values["methods"], parser)
     for key in _CONFIG_KEYS - {"methods"}:
         flag = getattr(args, key, None)
@@ -115,11 +130,7 @@ def _load_config(args: argparse.Namespace, parser: _Parser) -> ExperimentConfig:
             values[key] = flag
     if getattr(args, "methods", None) is not None:
         values["methods"] = _parse_methods(args.methods, parser)
-    try:
-        return ExperimentConfig(**values)
-    except TypeError as exc:
-        parser.error(str(exc))
-        raise AssertionError("unreachable")
+    return ExperimentConfig(**values)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -1,8 +1,8 @@
 """Covariance-lag estimation and Toeplitz assembly / factorization.
 
 The sample covariance lags use the biased estimator (divisor N), which keeps
-the assembled Toeplitz matrix positive semidefinite by construction; an
-optional capped diagonal jitter repairs the rare numerically indefinite case.
+the assembled Toeplitz matrix positive semidefinite by construction; a
+capped diagonal jitter repairs the rare numerically indefinite case.
 """
 
 from __future__ import annotations
@@ -13,6 +13,10 @@ import numpy as np
 import scipy.linalg
 
 from .errors import InvalidDataError, InvalidOrderError, NotPositiveDefiniteError
+
+_JITTER_SCALE = 1e-8
+_JITTER_GROWTH = 10.0
+_JITTER_ESCALATIONS = 4
 
 
 @dataclass(frozen=True)
@@ -56,20 +60,6 @@ class ToeplitzCovariance:
     @property
     def order(self) -> int:
         return self.lags.size - 1
-
-
-@dataclass(frozen=True)
-class JitterPolicy:
-    """Diagonal-repair policy for numerically indefinite Toeplitz matrices.
-
-    The first repair attempt adds ``initial_scale * r_0`` to the diagonal and
-    escalates by ``growth`` at most ``max_escalations`` times before giving up.
-    """
-
-    allow: bool = True
-    initial_scale: float = 1e-8
-    growth: float = 10.0
-    max_escalations: int = 4
 
 
 @dataclass(frozen=True)
@@ -117,35 +107,31 @@ def build_toeplitz(lags: np.ndarray) -> ToeplitzCovariance:
     return ToeplitzCovariance(lags=r, matrix=scipy.linalg.toeplitz(r))
 
 
-def cholesky(cov: ToeplitzCovariance, policy: JitterPolicy = JitterPolicy()) -> CholeskyFactor:
-    """Lower Cholesky factor of the covariance matrix, with optional jitter.
+def cholesky(cov: ToeplitzCovariance) -> CholeskyFactor:
+    """Lower Cholesky factor of the covariance matrix, with capped jitter.
 
-    Tries the unmodified matrix first. If the factorization fails and the
-    policy allows repair, adds ``initial_scale * r_0`` to the diagonal,
-    escalating by ``growth`` up to ``max_escalations`` times.
+    Tries the unmodified matrix first. If the factorization fails, adds
+    1e-8 * r_0 to the diagonal, escalating by 10 up to 4 times.
 
     Raises
     ------
     NotPositiveDefiniteError
-        If every permitted attempt fails.
+        If every attempt fails.
     """
     sigma = cov.matrix
     try:
         return CholeskyFactor(L=np.linalg.cholesky(sigma), jitter=0.0)
     except np.linalg.LinAlgError:
-        if not policy.allow:
-            raise NotPositiveDefiniteError(
-                "covariance matrix is not positive definite and jitter is disabled"
-            ) from None
-    eps = policy.initial_scale * abs(cov.lags[0])
+        pass
+    eps = _JITTER_SCALE * abs(cov.lags[0])
     if eps == 0.0:
         raise NotPositiveDefiniteError("covariance matrix has zero leading lag")
     eye = np.eye(sigma.shape[0])
-    for _ in range(policy.max_escalations + 1):
+    for _ in range(_JITTER_ESCALATIONS + 1):
         try:
             return CholeskyFactor(L=np.linalg.cholesky(sigma + eps * eye), jitter=eps)
         except np.linalg.LinAlgError:
-            eps *= policy.growth
+            eps *= _JITTER_GROWTH
     raise NotPositiveDefiniteError(
         "covariance matrix is not positive definite even after maximum jitter"
     )

@@ -1,8 +1,11 @@
-"""Model-complexity diagnostics for the regularized estimators."""
+"""Model-complexity diagnostics for the regularized estimators.
+
+The pipelines take their degrees of freedom from :func:`shrinkage_df` on the
+eigenvalues of the shared reduced form; :func:`degrees_of_freedom` is the
+dense cross-check, a direct trace of (Sigma + R)^{-1} Sigma.
+"""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -10,24 +13,6 @@ from .covariance import ToeplitzCovariance
 from .errors import InvalidOrderError
 from .estimators import _solve_spd
 from .kernels import Hyperparameters, KernelSpec, scaled_inverse_R
-
-
-@dataclass(frozen=True)
-class DiagnosticsReport:
-    """Degrees of freedom together with the parameter count it is bounded by."""
-
-    df: float
-    n_plus_1: int
-
-    def __post_init__(self):
-        if not 0.0 <= self.df <= self.n_plus_1:
-            raise InvalidOrderError(
-                f"df={self.df} outside [0, {self.n_plus_1}]"
-            )
-
-    @property
-    def effective_shrinkage(self) -> float:
-        return 1.0 - self.df / self.n_plus_1
 
 
 def degrees_of_freedom(

@@ -132,7 +132,7 @@ def trial_seed(master_seed: int, run_index: int, stream: int) -> np.random.SeedS
 
 
 def _pipeline_config(cfg: ExperimentConfig) -> PipelineConfig:
-    return PipelineConfig(n=cfg.n, low_order=cfg.low_order, refine=cfg.refine)
+    return PipelineConfig(low_order=cfg.low_order, refine=cfg.refine)
 
 
 def fit_method(method: Method, y: TimeSeries, cfg: ExperimentConfig) -> EstimateResult:

@@ -18,23 +18,17 @@ tries (T. Chen and L. Ljung, Automatica 2013).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 import scipy.linalg
 import scipy.optimize
 
-from .covariance import (
-    JitterPolicy,
-    TimeSeries,
-    ToeplitzCovariance,
-    build_toeplitz,
-    cholesky,
-    estimate_lags,
-)
-from .diagnostics import degrees_of_freedom, shrinkage_df
+from .covariance import TimeSeries, ToeplitzCovariance, build_toeplitz, cholesky, estimate_lags
+from .diagnostics import shrinkage_df
 from .errors import (
+    InvalidDataError,
     InvalidHyperparameterError,
     InvalidOrderError,
     KmaxentError,
@@ -73,7 +67,6 @@ _BETA_TOL = 1e-7  # absolute tolerance of the bounded Brent search over beta
 class PipelineConfig:
     """Knobs of the kernel-based pipelines (defaults match the experiments)."""
 
-    n: int = 50
     low_order: int = 4
     log10_lambda_min: float = -4.0
     log10_lambda_max: float = 4.0
@@ -82,7 +75,6 @@ class PipelineConfig:
     beta_max: float = 0.95
     beta_step: float = 0.05
     refine: bool = True
-    jitter: JitterPolicy = field(default_factory=JitterPolicy)
 
 
 @dataclass(frozen=True)
@@ -115,8 +107,11 @@ class RidgeMarginal:
         family = KernelFamily(family)
         if family is KernelFamily.TC:
             # S^T G S and S^T m are cumulative sums
-            gram = np.cumsum(np.cumsum(gram, axis=0), axis=1)
-            moment = np.cumsum(moment)
+            with np.errstate(over="ignore", invalid="ignore"):
+                gram = np.cumsum(np.cumsum(gram, axis=0), axis=1)
+                moment = np.cumsum(moment)
+        if not (np.isfinite(gram).all() and np.isfinite(moment).all()):
+            raise InvalidDataError("reduced Gram matrix overflows; the data scale is too large")
         return cls(
             reduced_gram=gram,
             reduced_moment=moment,
@@ -220,10 +215,6 @@ class RidgeMarginal:
         keep = polished < grid_best
         return values, np.where(keep, lam, lams[best]), np.where(keep, polished, grid_best)
 
-    def grid_values(self, lams: np.ndarray, betas: np.ndarray) -> np.ndarray:
-        """Objective on the grid lams x betas, shape (len(lams), len(betas))."""
-        return self.profile(lams, betas)[0]
-
     def df(self, eta: Hyperparameters) -> float:
         """Ridge degrees of freedom from the eigenvalues of A at eta."""
         return shrinkage_df(np.linalg.eigvalsh(self._reduced(eta.beta)[0]), eta.lam)
@@ -245,43 +236,6 @@ class MarginalObjective:
 
     def evaluate(self, eta: Hyperparameters) -> float:
         return self.core.evaluate(eta)
-
-    def grid_values(self, lams: np.ndarray, betas: np.ndarray) -> np.ndarray:
-        return self.core.grid_values(lams, betas)
-
-    def profile(self, lams: np.ndarray, betas):
-        return self.core.profile(lams, betas)
-
-
-@dataclass(frozen=True)
-class RegressionMarginalObjective:
-    """Marginal likelihood of the one-step-predictor regression baseline.
-
-    The regression y_t = sum_k a_k y_{t-k} + u_t is scored with noise variance
-    fixed at the preliminary estimate 1 / b0_prelim^2 and prior covariance
-    proportional to the trailing kernel block, which makes the posterior mode
-    coincide with the baseline's penalized least-squares estimate for every
-    (lambda, beta). Only the n x n Gram statistics are stored.
-    """
-
-    gram: np.ndarray  # X^T X
-    moment: np.ndarray  # X^T y
-    target_ss: float  # y^T y
-    b0_prelim: float
-    kernel_family: KernelFamily
-    n: int
-
-    @cached_property
-    def core(self) -> RidgeMarginal:
-        return RidgeMarginal.regression(
-            self.gram, self.moment, self.target_ss, self.b0_prelim, self.kernel_family
-        )
-
-    def evaluate(self, eta: Hyperparameters) -> float:
-        return self.core.evaluate(eta)
-
-    def grid_values(self, lams: np.ndarray, betas: np.ndarray) -> np.ndarray:
-        return self.core.grid_values(lams, betas)
 
     def profile(self, lams: np.ndarray, betas):
         return self.core.profile(lams, betas)
@@ -389,10 +343,11 @@ def run_pipeline(
 
     Executes, in order: preliminary leading-coefficient estimate, covariance
     lags and Toeplitz assembly at order ``n``, Cholesky factorization (with
-    the configured jitter policy), whitened design construction, marginal-
-    likelihood hyperparameter search, and the closed-form coefficient solve at
-    the selected hyperparameters; degrees of freedom and the minimum-phase
-    root check are evaluated on the result. Deterministic given its inputs.
+    capped jitter), whitened design construction, marginal-likelihood
+    hyperparameter search, and the closed-form coefficient solve at the
+    selected hyperparameters; degrees of freedom (from the search's reduced
+    form) and the minimum-phase root check are evaluated on the result.
+    Deterministic given its inputs.
     """
     N = y.n_samples
     if not 0 < n < N:
@@ -401,7 +356,7 @@ def run_pipeline(
     b0 = _step("preliminary_b0", preliminary_b0, y, config.low_order)
     lags = _step("estimate_lags", estimate_lags, y, n)
     cov = _step("build_toeplitz", build_toeplitz, lags)
-    factor = _step("cholesky", cholesky, cov, config.jitter)
+    factor = _step("cholesky", cholesky, cov)
     if factor.jitter > 0.0:
         # keep all downstream solves consistent with the repaired matrix,
         # which is again Toeplitz (the shift only moves r_0)
@@ -409,11 +364,11 @@ def run_pipeline(
         adjusted[0] += factor.jitter
         cov = build_toeplitz(adjusted)
     design = _step("whittle_design", build_whittle_design, factor, b0, N, n)
-    objective = RidgeMarginal.whittle(design, cov, kernel_family)
+    objective = _step("hyperparameters", RidgeMarginal.whittle, design, cov, kernel_family)
     hyper = _step("hyperparameters", optimize_hyperparameters, objective, config)
     spec = KernelSpec(kernel_family, hyper.eta_hat.beta, n + 1)
     b_hat = _step("kernel_me", kernel_me, design, cov, spec, hyper.eta_hat)
-    df = _step("diagnostics", degrees_of_freedom, cov, spec, hyper.eta_hat, N)
+    df = objective.df(hyper.eta_hat)
     is_min_phase, max_modulus = check_min_phase(b_hat)
     tag = Method.ME_DI if kernel_family is KernelFamily.DI else Method.ME_TC
     return EstimateResult(
@@ -445,7 +400,8 @@ def run_pem_pipeline(
     gram = lagged_gram(y, n)
     kernel_family = KernelFamily(kernel_family)
     b0 = _step("preliminary_b0", preliminary_b0, y, config.low_order)
-    objective = RidgeMarginal.regression(gram[1:, 1:], gram[1:, 0], gram[0, 0], b0, kernel_family)
+    moments = gram[1:, 1:], gram[1:, 0], gram[0, 0]
+    objective = _step("hyperparameters", RidgeMarginal.regression, *moments, b0, kernel_family)
     hyper = _step("hyperparameters", optimize_hyperparameters, objective, config)
     spec = KernelSpec(kernel_family, hyper.eta_hat.beta, n + 1)
     b_hat = _step("kernel_pem", kernel_pem, y, gram, spec, hyper.eta_hat)

@@ -61,7 +61,6 @@ class KernelFactorization:
 
     F: np.ndarray
     d: np.ndarray
-    variant: str  # "di_inverse" or "tc_inverse"
 
 
 def _check_beta(beta: float) -> None:
@@ -97,19 +96,17 @@ def inverse_factorization(spec: KernelSpec) -> KernelFactorization:
     """
     beta, size = spec.beta, spec.size
     if spec.family is KernelFamily.DI:
-        return KernelFactorization(
-            F=np.eye(size), d=beta ** -np.arange(1, size + 1), variant="di_inverse"
-        )
+        return KernelFactorization(F=np.eye(size), d=beta ** -np.arange(1, size + 1))
     d = 1.0 / ((beta - beta**2) * beta ** np.arange(size))
-    return KernelFactorization(F=_bidiagonal_difference(size), d=d, variant="tc_inverse")
+    return KernelFactorization(F=_bidiagonal_difference(size), d=d)
 
 
 def root_scale(spec: KernelSpec, trailing: bool = False) -> np.ndarray:
     """Column scales c(beta) of the structured kernel root.
 
-    The root is diag(c) for di and, for tc, the upper-triangular matrix with
-    c_j in every entry of column j on and above the diagonal, that is the
-    upper-triangular matrix of ones times diag(c); see :func:`square_root`. With
+    The root is diag(c) for di and, for tc, the upper-triangular matrix of
+    ones times diag(c), which follows from K^{-1} = F D F^T; it is well
+    conditioned for every beta in (0, 1), unlike the kernel. With
     ``trailing`` the scales belong to the root of the trailing n x n block of
     the size-(n+1) kernel, which equals beta times the size-n kernel of the
     same family, so they are sqrt(beta) times the size-n scales.
@@ -124,24 +121,6 @@ def root_scale(spec: KernelSpec, trailing: bool = False) -> np.ndarray:
     return np.sqrt((beta - beta**2) * beta ** np.arange(size))
 
 
-def _root_from_scale(family: KernelFamily, c: np.ndarray) -> np.ndarray:
-    if family is KernelFamily.DI:
-        return np.diag(c)
-    return np.triu(np.tile(c, (c.size, 1)))
-
-
-def square_root(spec: KernelSpec) -> np.ndarray:
-    """Closed-form factor B with kernel_matrix(spec) == B @ B.T exactly.
-
-    di: diag(beta^{k/2}), k = 1..n+1. tc: from K^{-1} = F D F^T it follows
-    that K = S^T D^{-1} S with S = F^{-1} (lower triangular of ones), giving
-    the upper-triangular root B[i, j] = sqrt((beta - beta^2) beta^j), j >= i
-    (0-based). Well conditioned for every beta in (0, 1), unlike the kernel
-    itself, so it is safe where a numerical Cholesky of K would fail.
-    """
-    return _root_from_scale(spec.family, root_scale(spec))
-
-
 def trailing_block_root(spec: KernelSpec) -> np.ndarray:
     """Factor B with kernel_matrix(spec)[1:, 1:] == B @ B.T exactly.
 
@@ -149,7 +128,10 @@ def trailing_block_root(spec: KernelSpec) -> np.ndarray:
     the size-n kernel of the same family, so its root is sqrt(beta) times the
     smaller structured root.
     """
-    return _root_from_scale(spec.family, root_scale(spec, trailing=True))
+    c = root_scale(spec, trailing=True)
+    if spec.family is KernelFamily.DI:
+        return np.diag(c)
+    return np.triu(np.tile(c, (c.size, 1)))
 
 
 def _scaled_inverse(spec: KernelSpec, scale: float) -> np.ndarray:

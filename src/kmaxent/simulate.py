@@ -55,21 +55,6 @@ class ArmaModel:
         """Real coefficients of prod(z - p_j), highest power first."""
         return _real_poly(self.poles)
 
-    def to_dict(self) -> dict:
-        return {
-            "zeros": [[z.real, z.imag] for z in self.zeros],
-            "poles": [[p.real, p.imag] for p in self.poles],
-            "gain": self.gain,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ArmaModel":
-        return cls(
-            zeros=tuple(complex(re, im) for re, im in data["zeros"]),
-            poles=tuple(complex(re, im) for re, im in data["poles"]),
-            gain=float(data["gain"]),
-        )
-
 
 def _conjugate_closed(roots: tuple[complex, ...], tol: float = 1e-12) -> bool:
     key = lambda c: (round(c.real / tol), round(c.imag / tol))

@@ -6,6 +6,7 @@ import numpy as np
 
 from kmaxent.covariance import TimeSeries
 from kmaxent.errors import DataParseError
+from kmaxent.kernels import KernelFamily, KernelSpec, root_scale
 
 
 def lagged_design(y: TimeSeries, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -13,6 +14,16 @@ def lagged_design(y: TimeSeries, n: int) -> tuple[np.ndarray, np.ndarray]:
     s = y.samples
     windows = np.lib.stride_tricks.sliding_window_view(s, n)[:-1]
     return np.ascontiguousarray(windows[:, ::-1]), s[n:]
+
+
+def square_root(spec: KernelSpec) -> np.ndarray:
+    """Closed-form factor B with kernel_matrix(spec) == B @ B.T exactly: diag(c)
+    for di and the upper-triangular matrix of ones times diag(c) for tc, with c
+    the library's structured root scales."""
+    c = root_scale(spec)
+    if spec.family is KernelFamily.DI:
+        return np.diag(c)
+    return np.triu(np.tile(c, (c.size, 1)))
 
 
 def direct_spectrum(coeffs: np.ndarray, grid_size: int) -> np.ndarray:

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kmaxent.covariance import (
-    JitterPolicy,
     TimeSeries,
     ToeplitzCovariance,
     build_toeplitz,
@@ -159,11 +158,6 @@ class TestCholesky:
         repaired = cov.matrix + factor.jitter * np.eye(2)
         rel = np.linalg.norm(factor.L @ factor.L.T - repaired) / np.linalg.norm(repaired)
         assert rel <= 1e-10
-
-    def test_jitter_disabled_raises(self):
-        cov = build_toeplitz(np.array([1.0, 1.0]))
-        with pytest.raises(NotPositiveDefiniteError):
-            cholesky(cov, JitterPolicy(allow=False))
 
     def test_jitter_cap_insufficient_raises(self):
         # eigenvalue -1 cannot be repaired by shifts up to 1e-4 * r_0

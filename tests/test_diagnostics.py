@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from kmaxent.covariance import build_toeplitz, estimate_lags
-from kmaxent.diagnostics import DiagnosticsReport, degrees_of_freedom, shrinkage_df
+from kmaxent.diagnostics import degrees_of_freedom, shrinkage_df
 from kmaxent.errors import InvalidOrderError
 from kmaxent.kernels import Hyperparameters, KernelFamily, KernelSpec
 from kmaxent.simulate import generate, random_arma
@@ -67,13 +67,3 @@ class TestShrinkageDf:
         eigs = np.array([0.5, 2.0, 10.0])
         assert shrinkage_df(eigs, 1e15) == pytest.approx(3.0, abs=1e-9)
         assert shrinkage_df(eigs, 1e-15) == pytest.approx(0.0, abs=1e-9)
-
-    def test_report_shrinkage_fraction(self):
-        report = DiagnosticsReport(df=12.75, n_plus_1=51)
-        assert report.effective_shrinkage == pytest.approx(1.0 - 12.75 / 51.0)
-
-    def test_report_rejects_out_of_range_df(self):
-        with pytest.raises(InvalidOrderError):
-            DiagnosticsReport(df=52.0, n_plus_1=51)
-        with pytest.raises(InvalidOrderError):
-            DiagnosticsReport(df=-0.1, n_plus_1=51)

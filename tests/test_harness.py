@@ -458,6 +458,27 @@ class TestCli:
             expected = (Method.ME_TC,) if name == "methods" else value
             assert getattr(cfg, name) == expected, name
 
+    @pytest.mark.parametrize(
+        "content",
+        ["5", "null", '{"methods": ["bogus"]}', '{"methods": [1]}', '{"methods": []}',
+         '{"N": 1.5}', '{"grid_size": 8.5}', '{"N": true}', '{"refine": 1}',
+         '{"output_path": 3}'],
+    )
+    def test_bad_config_file_is_a_usage_error(self, tmp_path, capsys, content):
+        config = tmp_path / "cfg.json"
+        config.write_text(content)
+        with pytest.raises(SystemExit) as exc_info:
+            cli.main(["montecarlo", "--config", str(config), "--runs", "1", "--n", "4"])
+        assert exc_info.value.code == 1
+        assert "kmaxent: error: " in capsys.readouterr().err
+
+    def test_int_accepted_for_float_config_field(self, tmp_path):
+        config = tmp_path / "cfg.json"
+        config.write_text('{"max_phase_gap": 0, "output_path": null}')
+        parser = cli._build_parser()
+        cfg = cli._load_config(parser.parse_args(["montecarlo", "--config", str(config)]), parser)
+        assert cfg.max_phase_gap == 0 and cfg.output_path is None
+
     def test_unknown_config_key_rejected(self, tmp_path):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"bogus_key": 1}))

@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from kmaxent.covariance import TimeSeries, build_toeplitz, cholesky, estimate_lags
-from kmaxent.diagnostics import shrinkage_df
-from kmaxent.errors import InvalidOrderError, PipelineError
+from kmaxent.diagnostics import degrees_of_freedom, shrinkage_df
+from kmaxent.errors import InvalidOrderError, KmaxentError, PipelineError
 from kmaxent.estimators import Method, build_whittle_design, preliminary_b0
 from kmaxent.harness import ExperimentConfig, estimate_file, fit_method
 from kmaxent.hyperopt import (
     MarginalObjective,
     PipelineConfig,
-    RegressionMarginalObjective,
+    RidgeMarginal,
     neg_log_marginal,
     optimize_hyperparameters,
     run_pem_pipeline,
@@ -56,14 +56,7 @@ def dense_neg_log_marginal(obj, eta):
 def regression_objective(y, n, rows, b0, family):
     X, target = lagged_design(y, n)
     X, target = X[:rows], target[:rows]
-    obj = RegressionMarginalObjective(
-        gram=X.T @ X,
-        moment=X.T @ target,
-        target_ss=float(target @ target),
-        b0_prelim=b0,
-        kernel_family=family,
-        n=n,
-    )
+    obj = RidgeMarginal.regression(X.T @ X, X.T @ target, float(target @ target), b0, family)
     return obj, X, target
 
 
@@ -71,9 +64,9 @@ def dense_regression_neg_log(X, target, obj, eta):
     """-log N(y; 0, lam*sigma^2*X Kbar X^T + sigma^2 I) with dense slogdet and
     inverse, sigma^2 = 1/b0^2, dropping the (m/2) log sigma^2 constant that
     evaluate() omits."""
-    sigma2 = 1.0 / obj.b0_prelim**2
+    sigma2 = 1.0 / obj.noise_precision
     m = target.size
-    kbar = kernel_matrix(KernelSpec(obj.kernel_family, eta.beta, obj.n + 1))[1:, 1:]
+    kbar = kernel_matrix(KernelSpec(obj.family, eta.beta, obj.size))[1:, 1:]
     C = eta.lam * sigma2 * (X @ kbar @ X.T) + sigma2 * np.eye(m)
     dense = 0.5 * (np.linalg.slogdet(C)[1] + target @ np.linalg.inv(C) @ target)
     return dense - 0.5 * m * np.log(sigma2)
@@ -137,7 +130,7 @@ class TestNegLogMarginal:
 
 
 class TestRidgeMarginalCore:
-    """grid_values, evaluate and the dense oracles agree on both routes."""
+    """Profile grid values, evaluate and the dense oracles agree on both routes."""
 
     LAMS = (1e-4, 1.0, 1e4)
     BETAS = (0.05, 0.5, 0.95)
@@ -153,7 +146,7 @@ class TestRidgeMarginalCore:
     @pytest.mark.parametrize("family", list(KernelFamily))
     def test_grid_values_match_evaluate_and_dense_oracle(self, family, benchmark_series):
         for obj, dense in self.objectives(family, benchmark_series):
-            grid = obj.grid_values(np.array(self.LAMS), np.array(self.BETAS))
+            grid = obj.profile(np.array(self.LAMS), np.array(self.BETAS))[0]
             assert grid.shape == (3, 3)
             for i, lam in enumerate(self.LAMS):
                 for j, beta in enumerate(self.BETAS):
@@ -190,6 +183,14 @@ class TestRidgeMarginalCore:
         B = trailing_block_root(KernelSpec(family, result.eta_hat.beta, 51))
         expected = shrinkage_df(np.linalg.eigvalsh(B.T @ (X.T @ X) @ B), result.eta_hat.lam)
         assert abs(result.df - expected) <= 1e-9 * expected
+
+    @pytest.mark.parametrize("family", list(KernelFamily))
+    def test_me_df_matches_dense_degrees_of_freedom(self, family, benchmark_setup):
+        y, cov, _, _ = benchmark_setup
+        result = run_pipeline(y, 50, family)
+        spec = KernelSpec(family, result.eta_hat.beta, 51)
+        expected = degrees_of_freedom(cov, spec, result.eta_hat, y.n_samples)
+        assert abs(result.df - expected) <= 1e-12 * expected
 
 
 def _quadrature_neg_log(obj, eta):
@@ -370,6 +371,19 @@ def test_unit_spike_fits_every_method(method):
         assert result.min_phase_verified
 
 
+@pytest.mark.parametrize("scale", [1e152, 10**152.5])
+@pytest.mark.parametrize("method", list(Method))
+def test_overflowing_scale_fits_or_raises_a_named_error(method, scale):
+    # the Gram is finite at these scales, but the tc reduced form S^T G S
+    # overflows, which made eigh raise numpy's LinAlgError
+    y = TimeSeries(generate(benchmark_arma(), 500, 1).samples * scale)
+    try:
+        result = fit_method(method, y, ExperimentConfig())
+    except KmaxentError:
+        return
+    assert np.all(np.isfinite(result.b_hat.coeffs))
+
+
 def test_white_noise_hyperparameters_stay_in_the_box_as_plain_floats():
     kernel_methods = (Method.ME_DI, Method.ME_TC, Method.PEM_DI, Method.PEM_TC)
     for seed in range(40):
@@ -383,7 +397,7 @@ def test_white_noise_hyperparameters_stay_in_the_box_as_plain_floats():
 class TestBoxEdge:
     def test_spike_optimum_sits_on_the_beta_edge(self):
         obj = whittle_objective(unit_spike(), 20, KernelFamily.TC)
-        result = optimize_hyperparameters(obj, PipelineConfig(n=20))
+        result = optimize_hyperparameters(obj, PipelineConfig())
         assert result.eta_hat.beta == 0.05
         assert result.beta_on_edge
 
@@ -407,7 +421,7 @@ def test_no_refine_traces_exactly_the_grid(benchmark_setup):
     result = optimize_hyperparameters(obj, PipelineConfig(refine=False))
     lams = [10.0**lg for lg in np.linspace(-4, 4, 17)]
     betas = np.linspace(0.05, 0.95, 19)
-    expected = obj.grid_values(np.array(lams), betas)
+    expected = obj.profile(np.array(lams), betas)[0]
     assert result.evaluations == 323
     assert len(result.trace) == 323
     np.testing.assert_allclose(

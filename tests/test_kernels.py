@@ -11,9 +11,9 @@ from kmaxent.kernels import (
     inverse_factorization,
     kernel_matrix,
     scaled_inverse_R,
-    square_root,
     trailing_block_root,
 )
+from oracles import square_root
 
 
 class TestKernelMatrix:

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -45,12 +43,6 @@ class TestArmaModel:
         z0 = 0.85 * np.exp(0.52j)
         expected = np.sqrt(2.0) * np.array([1.0, -2 * z0.real, abs(z0) ** 2])
         np.testing.assert_allclose(model.numerator(), expected, rtol=1e-12)
-
-    def test_json_round_trip(self):
-        model = benchmark_arma()
-        data = json.loads(json.dumps(model.to_dict()))
-        clone = ArmaModel.from_dict(data)
-        assert clone == model
 
 
 class TestGenerate:
