@@ -43,7 +43,6 @@ from .kernels import (
     Hyperparameters,
     KernelSpec,
     kernel_matrix,
-    trailing_block_root,
     _scaled_inverse,
 )
 
@@ -301,20 +300,18 @@ def kernel_pem(
     (1 - sum_k a_k z^{-k}) / sigma_hat. Unlike the maximum-entropy routes, the
     result carries no minimum-phase guarantee.
 
-    ``gram`` is :func:`lagged_gram` of ``y`` at order n = gram.shape[0] - 1;
-    the normal equations use its blocks X^T X and X^T y. The residuals come
+    ``gram`` is :func:`lagged_gram` of ``y`` at order n = gram.shape[0] - 1.
+    The normal equations (X^T X + (lam Kbar)^{-1}) a = X^T y use its blocks,
+    damped like :func:`kernel_me` by a structured inverse: Kbar equals beta
+    times the size-n kernel of the same family. The residuals come
     from filtering y with (1, -a) by ``np.convolve``, which is exact, O(N n)
     time and O(N) memory; the quadratic form in the Gram would cancel badly
     on nearly predictable series.
     """
     n = gram.shape[0] - 1
     _check_kernel_args(spec, eta, n + 1)
-    # structured root of the trailing kernel block; a numerical Cholesky of
-    # the block itself breaks down for decay rates near one
-    B = trailing_block_root(spec)
-    M = eta.lam * (B.T @ gram[1:, 1:] @ B) + np.eye(n)
-    rhs = B.T @ gram[1:, 0]
-    a = eta.lam * (B @ _solve_spd(M, rhs))
+    R = _scaled_inverse(KernelSpec(spec.family, spec.beta, n), eta.lam * spec.beta)
+    a = _solve_spd(gram[1:, 1:] + R, gram[1:, 0])
     predictor = np.concatenate(([1.0], -a))
     resid = np.convolve(y.samples, predictor, mode="valid")
     sigma_hat = np.sqrt(np.mean(resid**2))

@@ -16,7 +16,7 @@ import itertools
 import json
 import time
 from array import array
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -90,23 +90,18 @@ class ExperimentConfig:
             raise InvalidOrderError(f"need n < N, got n={self.n}, N={self.N}")
         if self.runs < 1:
             raise InvalidDataError(f"runs must be >= 1, got {self.runs}")
+        if self.master_seed < 0:
+            raise InvalidDataError(f"master_seed must be >= 0, got {self.master_seed}")
 
     def to_dict(self) -> dict:
-        return {
-            "methods": [m.value for m in self.methods],
-            "N": self.N,
-            "n": self.n,
-            "runs": self.runs,
-            "master_seed": self.master_seed,
-            "pole_modulus": self.pole_modulus,
-            "zero_modulus": self.zero_modulus,
-            "pairs": self.pairs,
-            "max_phase_gap": self.max_phase_gap,
-            "grid_size": self.grid_size,
-            "burn_in": self.burn_in,
-            "low_order": self.low_order,
-            "refine": self.refine,
+        """Every field that shapes the results; timings and the output path do not."""
+        values = {
+            f.name: getattr(self, f.name)
+            for f in fields(self)
+            if f.name not in ("include_timings", "output_path")
         }
+        values["methods"] = [m.value for m in self.methods]
+        return values
 
 
 @dataclass(frozen=True)

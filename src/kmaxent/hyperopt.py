@@ -3,12 +3,15 @@
 The kernel scale and decay rate are chosen by minimizing the negative
 log-marginal likelihood of the data with the coefficient vector integrated
 out. Kernel-ME and kernel-PEM are two cases of one ridge-regression marginal
-likelihood, implemented once in :class:`RidgeMarginal` on the reduced form
-B^T G B of the Gram matrix G and the structured kernel root B.
+likelihood with unit noise precision, implemented once in
+:class:`RidgeMarginal` on the reduced form B^T G B of the Gram matrix G and
+the structured kernel root B. Both pipelines end in one shared tail: search,
+coefficient solve, degrees of freedom and root check.
 
 The surface is not convex, so the search is a deterministic two-stage
-procedure inside the box of the grid: an exhaustive coarse grid over
-(log10 lambda, beta), then a refinement of the lambda-profiled likelihood.
+procedure inside a fixed box (:class:`PipelineConfig`): an exhaustive coarse
+grid over (log10 lambda, beta), then a refinement of the lambda-profiled
+likelihood.
 One eigendecomposition of the reduced n x n form per beta gives the whole
 lambda profile at O(n) per lambda, so each beta's best lambda is polished by
 safeguarded Newton steps on the closed-form derivatives, and a bounded Brent
@@ -19,7 +22,8 @@ tries (T. Chen and L. Ljung, Automatica 2013).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
+from typing import ClassVar
 
 import numpy as np
 import scipy.linalg
@@ -27,13 +31,7 @@ import scipy.optimize
 
 from .covariance import TimeSeries, ToeplitzCovariance, build_toeplitz, cholesky, estimate_lags
 from .diagnostics import shrinkage_df
-from .errors import (
-    InvalidDataError,
-    InvalidHyperparameterError,
-    InvalidOrderError,
-    KmaxentError,
-    PipelineError,
-)
+from .errors import InvalidDataError, InvalidOrderError, KmaxentError, PipelineError
 from .estimators import (
     EstimateResult,
     Method,
@@ -65,27 +63,46 @@ _BETA_TOL = 1e-7  # absolute tolerance of the bounded Brent search over beta
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Knobs of the kernel-based pipelines (defaults match the experiments)."""
+    """Settings of the kernel-based pipelines (defaults match the experiments).
+
+    Only the preliminary order and whether to refine the grid are settable.
+    The search box is fixed: the class constants below give its log10 lambda
+    and beta ranges and grid steps, 17 x 19 points.
+    """
 
     low_order: int = 4
-    log10_lambda_min: float = -4.0
-    log10_lambda_max: float = 4.0
-    log10_lambda_step: float = 0.5
-    beta_min: float = 0.05
-    beta_max: float = 0.95
-    beta_step: float = 0.05
     refine: bool = True
+
+    log10_lambda_min: ClassVar[float] = -4.0
+    log10_lambda_max: ClassVar[float] = 4.0
+    log10_lambda_step: ClassVar[float] = 0.5
+    beta_min: ClassVar[float] = 0.05
+    beta_max: ClassVar[float] = 0.95
+    beta_step: ClassVar[float] = 0.05
+
+
+def _box_axis(lo: float, hi: float, step: float) -> list[float]:
+    """Ascending points lo, lo + step, ..., hi of one axis of the search box."""
+    return [float(x) for x in np.linspace(lo, hi, int(round((hi - lo) / step)) + 1)]
+
+
+_BOX = PipelineConfig
+_LOG10_LAMS = _box_axis(_BOX.log10_lambda_min, _BOX.log10_lambda_max, _BOX.log10_lambda_step)
+# scalar powers: numpy's vectorized power can differ in the last bit
+_LAMS = np.array([10.0**x for x in _LOG10_LAMS])
+_BETAS = _box_axis(_BOX.beta_min, _BOX.beta_max, _BOX.beta_step)
 
 
 @dataclass(frozen=True)
 class RidgeMarginal:
     """Negative log-marginal likelihood of a ridge regression with a kernel prior.
 
-    Scores 0.5 [log det(I + lam A) + p (t - lam w^T (I + lam A)^{-1} w)] with
+    Scores 0.5 [log det(I + lam A) + t - lam w^T (I + lam A)^{-1} w] with
     A = B^T G B and w = B^T m, where G is the Gram matrix of the regression,
-    m its moment vector, t the target sum of squares, p the noise precision
-    and B B^T the prior covariance at decay rate beta. Both estimation routes
-    are this form; see :meth:`whittle` and :meth:`regression`.
+    m its moment vector, t the target sum of squares and B B^T the prior
+    covariance at decay rate beta. The noise precision is one: a route with
+    another precision p folds sqrt(p) into m and p into t. Both estimation
+    routes are this form; see :meth:`whittle` and :meth:`regression`.
 
     Every structured kernel root is S diag(c(beta)) for tc, with S the
     upper-triangular matrix of ones, and diag(c(beta)) for di. The constructors
@@ -97,13 +114,12 @@ class RidgeMarginal:
     reduced_gram: np.ndarray
     reduced_moment: np.ndarray
     target_ss: float
-    noise_precision: float
     family: KernelFamily
     size: int  # kernel size n + 1
     trailing: bool  # root of the trailing n x n kernel block instead of the full kernel
 
     @classmethod
-    def _reduce(cls, gram, moment, target_ss, noise_precision, family, size, trailing):
+    def _reduce(cls, gram, moment, target_ss, family, size, trailing):
         family = KernelFamily(family)
         if family is KernelFamily.TC:
             # S^T G S and S^T m are cumulative sums
@@ -116,7 +132,6 @@ class RidgeMarginal:
             reduced_gram=gram,
             reduced_moment=moment,
             target_ss=float(target_ss),
-            noise_precision=float(noise_precision),
             family=family,
             size=size,
             trailing=trailing,
@@ -125,15 +140,14 @@ class RidgeMarginal:
     @classmethod
     def whittle(cls, design: WhittleDesign, cov: ToeplitzCovariance, family: KernelFamily):
         """Whitened maximum-entropy fit: Phi^T Phi = (N - n) Sigma,
-        Phi^T v~ = (N - n) / b0 e_1, target v~^T v~ and unit precision, with
-        the root of the full size-(n+1) kernel."""
+        Phi^T v~ = (N - n) / b0 e_1 and target v~^T v~, with the root of the
+        full size-(n+1) kernel."""
         moment = np.zeros(cov.order + 1)
         moment[0] = design.n_eff / design.b0_prelim
         return cls._reduce(
             design.n_eff * cov.matrix,
             moment,
             design.v_tilde @ design.v_tilde,
-            1.0,
             family,
             cov.order + 1,
             trailing=False,
@@ -141,11 +155,12 @@ class RidgeMarginal:
 
     @classmethod
     def regression(cls, gram, moment, target_ss, b0_prelim, family: KernelFamily):
-        """One-step-predictor regression with noise variance 1 / b0^2 and the
-        root of the trailing n x n block of the size-(n+1) kernel."""
-        return cls._reduce(
-            gram, moment, target_ss, b0_prelim**2, family, len(moment) + 1, trailing=True
-        )
+        """One-step-predictor regression X^T X, X^T y and y^T y with noise
+        variance 1 / b0^2 and the root of the trailing n x n block of the
+        size-(n+1) kernel. The precision b0^2 is folded into the data: the
+        moment is scaled by b0 and the target by b0^2."""
+        moment, target_ss = b0_prelim * moment, b0_prelim**2 * target_ss
+        return cls._reduce(gram, moment, target_ss, family, len(moment) + 1, trailing=True)
 
     def _reduced(self, beta: float) -> tuple[np.ndarray, np.ndarray]:
         """A = B^T G B and w = B^T m at decay rate beta."""
@@ -159,7 +174,7 @@ class RidgeMarginal:
         L = np.linalg.cholesky(eta.lam * A + np.eye(w.size))
         log_det = 2.0 * np.sum(np.log(np.diag(L)))
         z = scipy.linalg.solve_triangular(L, w, lower=True, check_finite=False)
-        return 0.5 * (log_det + self.noise_precision * (self.target_ss - eta.lam * (z @ z)))
+        return 0.5 * (log_det + self.target_ss - eta.lam * (z @ z))
 
     def _score(self, s: np.ndarray, u2: np.ndarray, lam: np.ndarray) -> np.ndarray:
         """Objective from eigenvalues s of A and u2 = (Q^T w)^2, one row per
@@ -168,7 +183,7 @@ class RidgeMarginal:
         trailing unit axis and broadcasts against the rows."""
         lam_s = lam * s
         quad = self.target_ss - lam[..., 0] * (u2 / (1.0 + lam_s)).sum(axis=-1)
-        return 0.5 * (np.log1p(lam_s).sum(axis=-1) + self.noise_precision * quad)
+        return 0.5 * (np.log1p(lam_s).sum(axis=-1) + quad)
 
     def profile(self, lams: np.ndarray, betas) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Grid values, shape (len(lams), len(betas)), and each beta's polished
@@ -177,7 +192,7 @@ class RidgeMarginal:
         One eigendecomposition A = Q diag(s) Q^T per beta gives u2 =
         (Q^T w)^2. Each beta's grid argmin is then polished by safeguarded
         Newton steps on x = ln lam, inside the bracket of its grid neighbours.
-        With d = 1 / (1 + lam s), a = lam s d and q = p lam u2 d^2 the
+        With d = 1 / (1 + lam s), a = lam s d and q = lam u2 d^2 the
         derivatives are g = df/dx = 0.5 sum(a - q) and
         h = d2f/dx2 = g + 0.5 sum(a (2q - a)). The value returned is never
         above the grid minimum.
@@ -194,11 +209,11 @@ class RidgeMarginal:
         x0 = np.log(lams[best])
         lo = np.log(lams[np.maximum(best - 1, 0)])
         hi = np.log(lams[np.minimum(best + 1, lams.size - 1)])
-        x, pu2 = x0, self.noise_precision * u2
+        x = x0
         for _ in range(_NEWTON_STEPS):
             lam = np.exp(x)[:, None]
             d = 1.0 / (1.0 + lam * s)
-            a, q = lam * s * d, lam * pu2 * d * d
+            a, q = lam * s * d, lam * u2 * d * d
             g = 0.5 * (a - q).sum(axis=1)
             h = g + 0.5 * (a * (2.0 * q - a)).sum(axis=1)
             # the minimum lies downhill of x; a step that leaves the bracket,
@@ -251,7 +266,6 @@ class HyperoptResult:
 
     eta_hat: Hyperparameters
     objective_value: float
-    evaluations: int
     trace: tuple[tuple[float, float, float], ...]
     lambda_on_edge: bool
     beta_on_edge: bool
@@ -266,63 +280,56 @@ def neg_log_marginal(obj: MarginalObjective, eta: Hyperparameters) -> float:
     return obj.evaluate(eta)
 
 
-def _grid(lo: float, hi: float, step: float) -> np.ndarray:
-    if hi < lo:
-        raise InvalidHyperparameterError(f"empty grid: [{lo}, {hi}]")
-    if hi == lo or step <= 0:
-        return np.array([lo])
-    count = int(round((hi - lo) / step)) + 1
-    return np.linspace(lo, hi, count)
+def _finite(values: np.ndarray) -> np.ndarray:
+    if not np.isfinite(values).all():
+        raise InvalidDataError("marginal likelihood is not finite; the data scale is too extreme")
+    return values
 
 
 def optimize_hyperparameters(obj, config: PipelineConfig = PipelineConfig()) -> HyperoptResult:
-    """Two-stage deterministic search for (lambda, beta) inside the grid box.
+    """Two-stage deterministic search for (lambda, beta) inside the fixed box.
 
-    Stage 1 scores the full grid in one ``obj.profile(lams, betas)`` call;
-    for the ridge-marginal objectives that is one eigendecomposition of the
-    reduced n x n form per beta and O(n) per lambda. The trace lists the grid
-    first, ascending log10 lambda outer and ascending beta inner. Stage 2
-    (skipped when ``config.refine`` is false) adds each grid beta's polished
-    best lambda, then runs a bounded Brent search over the lambda-profiled
-    likelihood between the grid neighbours of the best beta, one
-    ``obj.profile`` of a single beta per point. Every point stays in the box,
-    and the returned pair attains the minimum over the trace, so the result is
-    never worse than the best grid point.
+    Stage 1 scores the 17 x 19 grid of :class:`PipelineConfig` in one
+    ``obj.profile(lams, betas)`` call; for the ridge-marginal objectives that
+    is one eigendecomposition of the reduced n x n form per beta and O(n) per
+    lambda. The trace lists the grid first, ascending log10 lambda outer and
+    ascending beta inner. Stage 2 (skipped when ``config.refine`` is false)
+    adds each grid beta's polished best lambda, then runs a bounded Brent
+    search over the lambda-profiled likelihood between the grid neighbours of
+    the best beta, one ``obj.profile`` of a single beta per point. Every point
+    stays in the box, and the returned pair attains the minimum over the
+    trace, so the result is never worse than the best grid point. A grid or
+    polished value that is not finite raises InvalidDataError, since the
+    minimum of such a trace would depend on its order.
     """
-    log10_lams = _grid(config.log10_lambda_min, config.log10_lambda_max, config.log10_lambda_step)
-    # scalar powers: numpy's vectorized power can differ in the last bit
-    lams = np.array([10.0 ** float(x) for x in log10_lams])
-    betas = [float(b) for b in _grid(config.beta_min, config.beta_max, config.beta_step)]
-    values, lam_star, value_star = obj.profile(lams, betas)
+    values, lam_star, value_star = obj.profile(_LAMS, _BETAS)
     trace = [
         (lam, beta, value)
-        for lam, row in zip(lams.tolist(), values.tolist())
-        for beta, value in zip(betas, row)
+        for lam, row in zip(_LAMS.tolist(), _finite(values).tolist())
+        for beta, value in zip(_BETAS, row)
     ]
 
     if config.refine:
-        trace.extend(zip(lam_star.tolist(), betas, value_star.tolist()))
+        trace.extend(zip(lam_star.tolist(), _BETAS, _finite(value_star).tolist()))
         j = int(np.argmin(value_star))
-        lo, hi = betas[max(j - 1, 0)], betas[min(j + 1, len(betas) - 1)]
+        lo, hi = _BETAS[max(j - 1, 0)], _BETAS[min(j + 1, len(_BETAS) - 1)]
 
         def profiled(beta: float) -> float:
-            _, lam, value = obj.profile(lams, [float(beta)])
-            trace.append((float(lam[0]), float(beta), float(value[0])))
-            return float(value[0])
+            _, lam, value = obj.profile(_LAMS, [float(beta)])
+            trace.append((float(lam[0]), float(beta), float(_finite(value)[0])))
+            return trace[-1][2]
 
-        if lo < hi:
-            scipy.optimize.minimize_scalar(
-                profiled, bounds=(lo, hi), method="bounded", options={"xatol": _BETA_TOL}
-            )
+        scipy.optimize.minimize_scalar(
+            profiled, bounds=(lo, hi), method="bounded", options={"xatol": _BETA_TOL}
+        )
 
     lam_best, beta_best, value_best = min(trace, key=lambda entry: entry[2])
     return HyperoptResult(
         eta_hat=Hyperparameters(lam_best, beta_best),
         objective_value=value_best,
-        evaluations=len(trace),
         trace=tuple(trace),
-        lambda_on_edge=bool(not lams[0] < lam_best < lams[-1]),
-        beta_on_edge=bool(not betas[0] < beta_best < betas[-1]),
+        lambda_on_edge=bool(not _LAMS[0] < lam_best < _LAMS[-1]),
+        beta_on_edge=bool(not _BETAS[0] < beta_best < _BETAS[-1]),
     )
 
 
@@ -331,6 +338,28 @@ def _step(name: str, fn, *args, **kwargs):
         return fn(*args, **kwargs)
     except KmaxentError as exc:
         raise PipelineError(name, str(exc)) from exc
+
+
+def _fit(route: str, family: KernelFamily, n: int, objective, solve, config, jitter=0.0):
+    """Shared tail of both pipelines: search, coefficient solve, degrees of
+    freedom, root check and the result tagged ``<route>-<family>``.
+
+    ``solve(spec, eta)`` is the coefficient solve of ``route`` ("me" or
+    "pem"); failures name the step ``hyperparameters`` or ``kernel_<route>``.
+    """
+    hyper = _step("hyperparameters", optimize_hyperparameters, objective, config)
+    spec = KernelSpec(family, hyper.eta_hat.beta, n + 1)
+    b_hat = _step(f"kernel_{route}", solve, spec, hyper.eta_hat)
+    is_min_phase, max_modulus = check_min_phase(b_hat)
+    return EstimateResult(
+        b_hat=b_hat,
+        eta_hat=hyper.eta_hat,
+        df=objective.df(hyper.eta_hat),
+        min_phase_verified=is_min_phase,
+        jitter_used=jitter,
+        method_tag=Method(f"{route}-{family.value}"),
+        max_root_modulus=max_modulus,
+    )
 
 
 def run_pipeline(
@@ -365,21 +394,8 @@ def run_pipeline(
         cov = build_toeplitz(adjusted)
     design = _step("whittle_design", build_whittle_design, factor, b0, N, n)
     objective = _step("hyperparameters", RidgeMarginal.whittle, design, cov, kernel_family)
-    hyper = _step("hyperparameters", optimize_hyperparameters, objective, config)
-    spec = KernelSpec(kernel_family, hyper.eta_hat.beta, n + 1)
-    b_hat = _step("kernel_me", kernel_me, design, cov, spec, hyper.eta_hat)
-    df = objective.df(hyper.eta_hat)
-    is_min_phase, max_modulus = check_min_phase(b_hat)
-    tag = Method.ME_DI if kernel_family is KernelFamily.DI else Method.ME_TC
-    return EstimateResult(
-        b_hat=b_hat,
-        eta_hat=hyper.eta_hat,
-        df=df,
-        min_phase_verified=is_min_phase,
-        jitter_used=factor.jitter,
-        method_tag=tag,
-        max_root_modulus=max_modulus,
-    )
+    solve = partial(kernel_me, design, cov)
+    return _fit("me", kernel_family, n, objective, solve, config, factor.jitter)
 
 
 def run_pem_pipeline(
@@ -390,7 +406,7 @@ def run_pem_pipeline(
 ) -> EstimateResult:
     """Kernel-regularized predictor baseline with tuned hyperparameters.
 
-    Shares the marginal-likelihood search machinery with
+    Shares the marginal-likelihood search and the fit tail with
     :func:`run_pipeline`, applied to the lagged-regression form of the data.
     Its Gram is built once by :func:`lagged_gram` (autocorrelation sums minus
     the 2n edge rows); the objective takes its blocks and :func:`kernel_pem`
@@ -402,18 +418,4 @@ def run_pem_pipeline(
     b0 = _step("preliminary_b0", preliminary_b0, y, config.low_order)
     moments = gram[1:, 1:], gram[1:, 0], gram[0, 0]
     objective = _step("hyperparameters", RidgeMarginal.regression, *moments, b0, kernel_family)
-    hyper = _step("hyperparameters", optimize_hyperparameters, objective, config)
-    spec = KernelSpec(kernel_family, hyper.eta_hat.beta, n + 1)
-    b_hat = _step("kernel_pem", kernel_pem, y, gram, spec, hyper.eta_hat)
-    df = objective.df(hyper.eta_hat)
-    is_min_phase, max_modulus = check_min_phase(b_hat)
-    tag = Method.PEM_DI if kernel_family is KernelFamily.DI else Method.PEM_TC
-    return EstimateResult(
-        b_hat=b_hat,
-        eta_hat=hyper.eta_hat,
-        df=df,
-        min_phase_verified=is_min_phase,
-        jitter_used=0.0,
-        method_tag=tag,
-        max_root_modulus=max_modulus,
-    )
+    return _fit("pem", kernel_family, n, objective, partial(kernel_pem, y, gram), config)

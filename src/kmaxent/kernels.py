@@ -121,19 +121,6 @@ def root_scale(spec: KernelSpec, trailing: bool = False) -> np.ndarray:
     return np.sqrt((beta - beta**2) * beta ** np.arange(size))
 
 
-def trailing_block_root(spec: KernelSpec) -> np.ndarray:
-    """Factor B with kernel_matrix(spec)[1:, 1:] == B @ B.T exactly.
-
-    The trailing principal block of the size-(n+1) kernel equals beta times
-    the size-n kernel of the same family, so its root is sqrt(beta) times the
-    smaller structured root.
-    """
-    c = root_scale(spec, trailing=True)
-    if spec.family is KernelFamily.DI:
-        return np.diag(c)
-    return np.triu(np.tile(c, (c.size, 1)))
-
-
 def _scaled_inverse(spec: KernelSpec, scale: float) -> np.ndarray:
     """Dense (scale * K)^{-1} assembled from the structured factorization."""
     fac = inverse_factorization(spec)

@@ -26,6 +26,19 @@ def square_root(spec: KernelSpec) -> np.ndarray:
     return np.triu(np.tile(c, (c.size, 1)))
 
 
+def trailing_block_root(spec: KernelSpec) -> np.ndarray:
+    """Factor B with kernel_matrix(spec)[1:, 1:] == B @ B.T exactly.
+
+    The trailing principal block of the size-(n+1) kernel equals beta times
+    the size-n kernel of the same family, so its root is sqrt(beta) times the
+    smaller structured root.
+    """
+    c = root_scale(spec, trailing=True)
+    if spec.family is KernelFamily.DI:
+        return np.diag(c)
+    return np.triu(np.tile(c, (c.size, 1)))
+
+
 def direct_spectrum(coeffs: np.ndarray, grid_size: int) -> np.ndarray:
     """1 / |sum_m b_m e^{-j theta_k m}|^2 from the grid_size x (n+1) exponential matrix."""
     grid = -np.pi + 2.0 * np.pi * np.arange(grid_size) / grid_size

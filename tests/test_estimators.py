@@ -30,7 +30,7 @@ from kmaxent.kernels import (
     kernel_matrix,
 )
 from kmaxent.simulate import generate, random_arma
-from oracles import lagged_design
+from oracles import lagged_design, trailing_block_root
 
 
 def ar_series(coeffs, N, seed, sigma=1.0, burn=500):
@@ -290,6 +290,25 @@ class TestKernelPem:
             expected = np.concatenate(([1.0], -a)) / np.sqrt(np.mean(resid**2))
             rel = np.linalg.norm(b.coeffs - expected) / np.linalg.norm(expected)
             assert rel <= 1e-9
+
+    @pytest.mark.parametrize("family", list(KernelFamily))
+    @pytest.mark.parametrize("lam", [1e-4, 1e4])
+    @pytest.mark.parametrize("beta", [0.05, 0.95])
+    def test_matches_dense_trailing_root_form(self, family, lam, beta, benchmark_series):
+        # a = lam B (I + lam B^T X^T X B)^{-1} B^T X^T y with B B^T the
+        # trailing kernel block, the form the marginal likelihood reduces
+        n = 50
+        gram = lagged_gram(benchmark_series, n)
+        spec = KernelSpec(family, beta, n + 1)
+        b = kernel_pem(benchmark_series, gram, spec, Hyperparameters(lam, beta))
+        B = trailing_block_root(spec)
+        M = np.eye(n) + lam * (B.T @ gram[1:, 1:] @ B)
+        a = lam * (B @ np.linalg.solve(M, B.T @ gram[1:, 0]))
+        X, target = lagged_design(benchmark_series, n)
+        resid = target - X @ a
+        expected = np.concatenate(([1.0], -a)) / np.sqrt(np.mean(resid**2))
+        rel = np.linalg.norm(b.coeffs - expected) / np.linalg.norm(expected)
+        assert rel <= 1e-10
 
     def test_rejects_short_series(self):
         y = TimeSeries(np.arange(20.0))

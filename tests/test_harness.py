@@ -106,6 +106,17 @@ class TestMonteCarlo:
         assert stats["q1"] == stats["q3"] == e
         assert stats["outliers"] == 0 and stats["failures"] == 0
 
+    def test_summary_config_holds_every_result_shaping_field(self, tmp_path):
+        cfg = ExperimentConfig(
+            methods=(Method.ME,), N=200, n=10, runs=1,
+            master_seed=5, grid_size=128, output_path=str(tmp_path),
+        )
+        run_monte_carlo(cfg)
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        expected = {f.name for f in dataclasses.fields(ExperimentConfig)}
+        assert set(summary["config"]) == expected - {"include_timings", "output_path"}
+        assert summary["config"]["methods"] == ["me"]
+
     def test_records_in_canonical_order(self, tmp_path):
         cfg = ExperimentConfig(
             methods=(Method.ME_DI, Method.ME), N=200, n=10, runs=3,
@@ -471,6 +482,20 @@ class TestCli:
             cli.main(["montecarlo", "--config", str(config), "--runs", "1", "--n", "4"])
         assert exc_info.value.code == 1
         assert "kmaxent: error: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_negative_seed_is_a_data_error(self, tmp_path, capsys, source):
+        args = ["single", "--methods", "me", "-N", "200", "--n", "10", "--grid-size", "32"]
+        if source == "flag":
+            args += ["--seed", "-1"]
+        else:
+            config = tmp_path / "cfg.json"
+            config.write_text('{"master_seed": -1}')
+            args += ["--config", str(config)]
+        assert cli.main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("kmaxent: ") and "master_seed" in err
+        assert "Traceback" not in err
 
     def test_int_accepted_for_float_config_field(self, tmp_path):
         config = tmp_path / "cfg.json"

@@ -6,7 +6,7 @@ import pytest
 from kmaxent.covariance import TimeSeries, build_toeplitz, cholesky, estimate_lags
 from kmaxent.diagnostics import degrees_of_freedom, shrinkage_df
 from kmaxent.errors import InvalidOrderError, KmaxentError, PipelineError
-from kmaxent.estimators import Method, build_whittle_design, preliminary_b0
+from kmaxent.estimators import Method, build_whittle_design, lagged_gram, preliminary_b0
 from kmaxent.harness import ExperimentConfig, estimate_file, fit_method
 from kmaxent.hyperopt import (
     MarginalObjective,
@@ -17,15 +17,12 @@ from kmaxent.hyperopt import (
     run_pem_pipeline,
     run_pipeline,
 )
-from kmaxent.kernels import (
-    Hyperparameters,
-    KernelFamily,
-    KernelSpec,
-    kernel_matrix,
-    trailing_block_root,
-)
+from kmaxent.kernels import Hyperparameters, KernelFamily, KernelSpec, kernel_matrix
 from kmaxent.simulate import benchmark_arma, generate
-from oracles import lagged_design
+from oracles import lagged_design, trailing_block_root
+
+GRID_LAMS = np.array([10.0**lg for lg in np.linspace(-4, 4, 17)])
+GRID_BETAS = np.linspace(0.05, 0.95, 19)
 
 
 def whittle_objective(y, n, family, low_order=4):
@@ -60,11 +57,11 @@ def regression_objective(y, n, rows, b0, family):
     return obj, X, target
 
 
-def dense_regression_neg_log(X, target, obj, eta):
+def dense_regression_neg_log(X, target, b0, obj, eta):
     """-log N(y; 0, lam*sigma^2*X Kbar X^T + sigma^2 I) with dense slogdet and
     inverse, sigma^2 = 1/b0^2, dropping the (m/2) log sigma^2 constant that
     evaluate() omits."""
-    sigma2 = 1.0 / obj.noise_precision
+    sigma2 = 1.0 / b0**2
     m = target.size
     kbar = kernel_matrix(KernelSpec(obj.family, eta.beta, obj.size))[1:, 1:]
     C = eta.lam * sigma2 * (X @ kbar @ X.T) + sigma2 * np.eye(m)
@@ -124,7 +121,7 @@ class TestNegLogMarginal:
         obj, X, target = regression_objective(benchmark_series, 8, 60, 0.73, KernelFamily.TC)
         for lam, beta in ((0.05, 0.3), (1.0, 0.85), (30.0, 0.6)):
             eta = Hyperparameters(lam, beta)
-            expected = dense_regression_neg_log(X, target, obj, eta)
+            expected = dense_regression_neg_log(X, target, 0.73, obj, eta)
             got = obj.evaluate(eta)
             assert abs(got - expected) <= 1e-8 * max(1.0, abs(expected))
 
@@ -140,7 +137,7 @@ class TestRidgeMarginalCore:
         pem, X, target = regression_objective(benchmark_series, 4, 60, 0.73, family)
         return [
             (me, lambda eta: dense_neg_log_marginal(me, eta)),
-            (pem, lambda eta: dense_regression_neg_log(X, target, pem, eta)),
+            (pem, lambda eta: dense_regression_neg_log(X, target, 0.73, pem, eta)),
         ]
 
     @pytest.mark.parametrize("family", list(KernelFamily))
@@ -236,20 +233,6 @@ class _Bowl:
 
 
 class TestOptimizeHyperparameters:
-    def test_degenerate_grid_returns_single_point(self):
-        config = PipelineConfig(
-            log10_lambda_min=0.5,
-            log10_lambda_max=0.5,
-            beta_min=0.3,
-            beta_max=0.3,
-            refine=False,
-        )
-        result = optimize_hyperparameters(_Bowl(), config)
-        assert result.eta_hat.lam == pytest.approx(10.0**0.5)
-        assert result.eta_hat.beta == 0.3
-        assert result.evaluations == 1
-        assert len(result.trace) == 1
-
     def test_quadratic_bowl_recovers_optimum(self):
         result = optimize_hyperparameters(_Bowl(), PipelineConfig())
         assert abs(result.eta_hat.lam - 1.0) <= 1e-4
@@ -291,6 +274,9 @@ class TestOptimizeHyperparameters:
         assert (result.eta_hat.lam, result.eta_hat.beta) == (hit[0], hit[1])
 
 
+KERNEL_METHODS = [Method.ME_DI, Method.ME_TC, Method.PEM_DI, Method.PEM_TC]
+
+
 class TestRunPipeline:
     def test_deterministic(self, benchmark_series):
         first = run_pipeline(benchmark_series, 50, KernelFamily.TC)
@@ -321,11 +307,14 @@ class TestRunPipeline:
             run_pipeline(y, 10, KernelFamily.DI)
         assert exc_info.value.step == "preliminary_b0"
 
-    def test_pem_pipeline_runs_and_tags(self, benchmark_series):
-        result = run_pem_pipeline(benchmark_series, 50, KernelFamily.DI)
-        assert result.method_tag is Method.PEM_DI
+    @pytest.mark.parametrize("method", KERNEL_METHODS)
+    def test_pipeline_runs_and_tags(self, method, benchmark_series):
+        route, family = method.value.split("-")
+        pipeline = run_pipeline if route == "me" else run_pem_pipeline
+        result = pipeline(benchmark_series, 50, KernelFamily(family))
+        assert result.method_tag is method
         assert result.eta_hat is not None
-        assert 0.0 <= result.df <= 50.0
+        assert 0.0 <= result.df <= (51.0 if route == "me" else 50.0)
 
     def test_pem_pipeline_rejects_short_series(self):
         y = TimeSeries(np.arange(60.0))
@@ -384,6 +373,35 @@ def test_overflowing_scale_fits_or_raises_a_named_error(method, scale):
     assert np.all(np.isfinite(result.b_hat.coeffs))
 
 
+@pytest.mark.parametrize(
+    "method, scale",
+    [(method, 10**150.5) for method in KERNEL_METHODS]
+    + [(Method.ME_DI, 1e152), (Method.PEM_DI, 1e152)],
+)
+def test_non_finite_likelihood_is_a_named_error(method, scale):
+    # the Gram and its reduced form are finite, but the likelihood overflows
+    # on part of the grid; a minimum over such a trace is a box-corner fit
+    y = TimeSeries(generate(benchmark_arma(), 500, 1).samples * scale)
+    with pytest.raises(PipelineError) as exc_info:
+        fit_method(method, y, ExperimentConfig())
+    assert exc_info.value.step == "hyperparameters"
+
+
+@pytest.mark.parametrize("family", list(KernelFamily))
+def test_regression_profile_is_finite_at_scale_1e100(family):
+    # the precision b0^2 has to enter through the moment and the target:
+    # (Q^T X^T y)^2 of the unscaled moment overflows at this scale
+    y = TimeSeries(generate(benchmark_arma(), 500, 1).samples * 1e100)
+    gram = lagged_gram(y, 50)
+    obj = RidgeMarginal.regression(
+        gram[1:, 1:], gram[1:, 0], gram[0, 0], preliminary_b0(y, 4), family
+    )
+    values, lam_star, value_star = obj.profile(GRID_LAMS, GRID_BETAS)
+    assert values.shape == (17, 19)
+    assert np.isfinite(values).all()
+    assert np.isfinite(lam_star).all() and np.isfinite(value_star).all()
+
+
 def test_white_noise_hyperparameters_stay_in_the_box_as_plain_floats():
     kernel_methods = (Method.ME_DI, Method.ME_TC, Method.PEM_DI, Method.PEM_TC)
     for seed in range(40):
@@ -419,12 +437,11 @@ def test_no_refine_traces_exactly_the_grid(benchmark_setup):
     _, cov, _, design = benchmark_setup
     obj = MarginalObjective(design=design, cov=cov, kernel_family=KernelFamily.TC, N=500, n=50)
     result = optimize_hyperparameters(obj, PipelineConfig(refine=False))
-    lams = [10.0**lg for lg in np.linspace(-4, 4, 17)]
-    betas = np.linspace(0.05, 0.95, 19)
-    expected = obj.profile(np.array(lams), betas)[0]
-    assert result.evaluations == 323
+    expected = obj.profile(GRID_LAMS, GRID_BETAS)[0]
     assert len(result.trace) == 323
     np.testing.assert_allclose(
-        [e[:2] for e in result.trace], [(lam, beta) for lam in lams for beta in betas], rtol=1e-15
+        [e[:2] for e in result.trace],
+        [(lam, beta) for lam in GRID_LAMS for beta in GRID_BETAS],
+        rtol=1e-15,
     )
     assert [e[2] for e in result.trace] == expected.ravel().tolist()

@@ -11,9 +11,8 @@ from kmaxent.kernels import (
     inverse_factorization,
     kernel_matrix,
     scaled_inverse_R,
-    trailing_block_root,
 )
-from oracles import square_root
+from oracles import square_root, trailing_block_root
 
 
 class TestKernelMatrix:
