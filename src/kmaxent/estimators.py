@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import enum
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -113,28 +113,39 @@ class WhittleDesign:
 class EstimateResult:
     """One estimator run: coefficients plus the diagnostics surfaced with them.
 
-    ``min_phase_verified`` always reports the outcome of an explicit root
-    check, never an assumption; ``eta_hat`` is None for the plain
-    maximum-entropy method, which has no hyperparameters.
+    ``min_phase_verified`` and ``max_root_modulus`` are not arguments: every
+    construction runs :func:`check_min_phase` on ``b_hat`` and stores its
+    outcome, so they always report an explicit root check, never an
+    assumption. ``eta_hat`` is None for the plain maximum-entropy method,
+    which has no hyperparameters.
     """
 
     b_hat: PredictorPolynomial
     eta_hat: Hyperparameters | None
     df: float
-    min_phase_verified: bool
-    jitter_used: float
     method_tag: Method
-    max_root_modulus: float
+    jitter_used: float = 0.0
     chosen_n: int | None = None
+    min_phase_verified: bool = field(init=False)
+    max_root_modulus: float = field(init=False)
+
+    def __post_init__(self):
+        is_min_phase, max_modulus = check_min_phase(self.b_hat)
+        object.__setattr__(self, "min_phase_verified", is_min_phase)
+        object.__setattr__(self, "max_root_modulus", max_modulus)
+
+
+def _cho_factor(matrix: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Lower Cholesky factor of an SPD matrix, mapping failure to a package error."""
+    try:
+        return scipy.linalg.cho_factor(matrix, lower=True, check_finite=False)
+    except scipy.linalg.LinAlgError as exc:
+        raise NotPositiveDefiniteError(str(exc)) from exc
 
 
 def _solve_spd(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve an SPD system by Cholesky, mapping failure to a package error."""
-    try:
-        c = scipy.linalg.cho_factor(matrix, lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
-        raise NotPositiveDefiniteError(str(exc)) from exc
-    return scipy.linalg.cho_solve(c, rhs, check_finite=False)
+    return scipy.linalg.cho_solve(_cho_factor(matrix), rhs, check_finite=False)
 
 
 def yule_walker(cov: ToeplitzCovariance) -> PredictorPolynomial:
@@ -152,26 +163,23 @@ def yule_walker(cov: ToeplitzCovariance) -> PredictorPolynomial:
 def me_bic(y: TimeSeries, n_max: int) -> tuple[PredictorPolynomial, int]:
     """Yule-Walker fit with BIC order selection over n = 1..n_max.
 
-    BIC(n) = N log(sigma_n^2) + n log N with sigma_n^2 = 1 / a_0(n), the
-    one-step prediction-error variance implied by the solve at order n. Ties
-    are broken toward the smaller order.
+    BIC(n) = N log(sigma_n^2) + n log N, where sigma_n^2 = 1 / a_0(n) is the
+    one-step prediction-error variance of the order-n solve. The order-n
+    Toeplitz matrix is the leading block of the order-n_max one, and by
+    persymmetry 1 / a_0(n) = 1 / (Sigma_n^{-1})_{nn} = L_nn^2, with L the
+    Cholesky factor of Sigma_{n_max}. One factorization therefore gives every
+    order's variance, and Yule-Walker is solved once, at the chosen order.
+    Ties are broken toward the smaller order. Raises NotPositiveDefiniteError
+    when Sigma_{n_max} cannot be factored.
     """
     N = y.n_samples
     if not 1 <= n_max < N:
         raise InvalidOrderError(f"n_max={n_max} must satisfy 1 <= n_max < N={N}")
     lags = estimate_lags(y, n_max)
-    log_N = np.log(N)
-    best_bic = np.inf
-    best: tuple[PredictorPolynomial, int] | None = None
-    for n in range(1, n_max + 1):
-        b = yule_walker(build_toeplitz(lags[: n + 1]))
-        # a_0 = b_0^2, so sigma_n^2 = b_0^{-2}
-        bic = -2.0 * N * np.log(b.coeffs[0]) + n * log_N
-        if bic < best_bic:
-            best_bic = bic
-            best = (b, n)
-    assert best is not None
-    return best
+    L, _ = _cho_factor(build_toeplitz(lags).matrix)
+    bic = 2.0 * N * np.log(np.diag(L)[1:]) + np.arange(1, n_max + 1) * np.log(N)
+    n = int(np.argmin(bic)) + 1  # the first minimum: the smaller order wins ties
+    return yule_walker(build_toeplitz(lags[: n + 1])), n
 
 
 def preliminary_b0(y: TimeSeries, low_order: int = 4) -> float:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .covariance import TimeSeries
 from .errors import DataParseError, InvalidDataError, InvalidOrderError, KmaxentError
-from .estimators import EstimateResult, Method, check_min_phase, me_bic
+from .estimators import EstimateResult, Method, me_bic
 from .hyperopt import PipelineConfig, run_pem_pipeline, run_pipeline
 from .kernels import KernelFamily
 from .simulate import (
@@ -38,13 +38,6 @@ from .simulate import (
 )
 
 METHOD_ORDER = (Method.ME, Method.ME_DI, Method.ME_TC, Method.PEM_DI, Method.PEM_TC)
-
-_KERNEL_OF = {
-    Method.ME_DI: KernelFamily.DI,
-    Method.ME_TC: KernelFamily.TC,
-    Method.PEM_DI: KernelFamily.DI,
-    Method.PEM_TC: KernelFamily.TC,
-}
 
 RECORD_COLUMNS = (
     "run",
@@ -126,30 +119,21 @@ def trial_seed(master_seed: int, run_index: int, stream: int) -> np.random.SeedS
     return np.random.SeedSequence([master_seed, run_index, stream])
 
 
-def _pipeline_config(cfg: ExperimentConfig) -> PipelineConfig:
-    return PipelineConfig(low_order=cfg.low_order, refine=cfg.refine)
-
-
 def fit_method(method: Method, y: TimeSeries, cfg: ExperimentConfig) -> EstimateResult:
-    """Run one estimator on one series."""
+    """Run one estimator on one series.
+
+    ``me`` is Yule-Walker at the BIC order, with df = chosen order + 1. Any
+    other tag reads ``<route>-<family>``: route ``me`` runs
+    :func:`run_pipeline` and ``pem`` :func:`run_pem_pipeline`, with kernel
+    family ``di`` or ``tc``. Every result carries the root check that
+    :class:`EstimateResult` runs when it is built.
+    """
     if method is Method.ME:
         b_hat, chosen = me_bic(y, cfg.n)
-        is_min_phase, max_modulus = check_min_phase(b_hat)
-        return EstimateResult(
-            b_hat=b_hat,
-            eta_hat=None,
-            df=float(chosen + 1),
-            min_phase_verified=is_min_phase,
-            jitter_used=0.0,
-            method_tag=Method.ME,
-            max_root_modulus=max_modulus,
-            chosen_n=chosen,
-        )
-    family = _KERNEL_OF[method]
-    pipeline_cfg = _pipeline_config(cfg)
-    if method in (Method.ME_DI, Method.ME_TC):
-        return run_pipeline(y, cfg.n, family, pipeline_cfg)
-    return run_pem_pipeline(y, cfg.n, family, pipeline_cfg)
+        return EstimateResult(b_hat, None, float(chosen + 1), Method.ME, chosen_n=chosen)
+    route, family = method.value.split("-")
+    pipeline = run_pipeline if route == "me" else run_pem_pipeline
+    return pipeline(y, cfg.n, KernelFamily(family), PipelineConfig(cfg.low_order, cfg.refine))
 
 
 def _record_from_result(

@@ -37,7 +37,6 @@ from .estimators import (
     Method,
     WhittleDesign,
     build_whittle_design,
-    check_min_phase,
     kernel_me,
     kernel_pem,
     lagged_gram,
@@ -91,6 +90,12 @@ _LOG10_LAMS = _box_axis(_BOX.log10_lambda_min, _BOX.log10_lambda_max, _BOX.log10
 # scalar powers: numpy's vectorized power can differ in the last bit
 _LAMS = np.array([10.0**x for x in _LOG10_LAMS])
 _BETAS = _box_axis(_BOX.beta_min, _BOX.beta_max, _BOX.beta_step)
+
+
+def _finite(values: np.ndarray) -> np.ndarray:
+    if not np.isfinite(values).all():
+        raise InvalidDataError("marginal likelihood is not finite; the data scale is too extreme")
+    return values
 
 
 @dataclass(frozen=True)
@@ -195,16 +200,19 @@ class RidgeMarginal:
         With d = 1 / (1 + lam s), a = lam s d and q = lam u2 d^2 the
         derivatives are g = df/dx = 0.5 sum(a - q) and
         h = d2f/dx2 = g + 0.5 sum(a (2q - a)). The value returned is never
-        above the grid minimum.
+        above the grid minimum. A grid value that is not finite raises
+        InvalidDataError before the polish, and so does a polished one: the
+        minimum of such a trace would depend on its order.
         """
         lams = np.asarray(lams, dtype=float)
         s, u2 = np.empty((2, len(betas), self.reduced_moment.size))
-        for j, beta in enumerate(betas):
-            A, w = self._reduced(float(beta))
-            s[j], Q = np.linalg.eigh(A)
-            u2[j] = (Q.T @ w) ** 2
-        s = np.clip(s, 0.0, None)
-        values = self._score(s, u2, lams[:, None, None])
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j, beta in enumerate(betas):
+                A, w = self._reduced(float(beta))
+                s[j], Q = np.linalg.eigh(A)
+                u2[j] = (Q.T @ w) ** 2
+            s = np.clip(s, 0.0, None)
+            values = _finite(self._score(s, u2, lams[:, None, None]))
         best = np.argmin(values, axis=0)
         x0 = np.log(lams[best])
         lo = np.log(lams[np.maximum(best - 1, 0)])
@@ -225,7 +233,7 @@ class RidgeMarginal:
             if np.all(np.where(inside, step <= _NEWTON_STEP_TOL, hi - lo <= _BRACKET_TOL)):
                 break
         lam = np.where(x == x0, lams[best], np.clip(np.exp(x), lams[0], lams[-1]))
-        polished = self._score(s, u2, lam[:, None])
+        polished = _finite(self._score(s, u2, lam[:, None]))
         grid_best = values[best, np.arange(best.size)]
         keep = polished < grid_best
         return values, np.where(keep, lam, lams[best]), np.where(keep, polished, grid_best)
@@ -280,12 +288,6 @@ def neg_log_marginal(obj: MarginalObjective, eta: Hyperparameters) -> float:
     return obj.evaluate(eta)
 
 
-def _finite(values: np.ndarray) -> np.ndarray:
-    if not np.isfinite(values).all():
-        raise InvalidDataError("marginal likelihood is not finite; the data scale is too extreme")
-    return values
-
-
 def optimize_hyperparameters(obj, config: PipelineConfig = PipelineConfig()) -> HyperoptResult:
     """Two-stage deterministic search for (lambda, beta) inside the fixed box.
 
@@ -298,25 +300,25 @@ def optimize_hyperparameters(obj, config: PipelineConfig = PipelineConfig()) -> 
     search over the lambda-profiled likelihood between the grid neighbours of
     the best beta, one ``obj.profile`` of a single beta per point. Every point
     stays in the box, and the returned pair attains the minimum over the
-    trace, so the result is never worse than the best grid point. A grid or
-    polished value that is not finite raises InvalidDataError, since the
-    minimum of such a trace would depend on its order.
+    trace, so the result is never worse than the best grid point. The ridge
+    objectives raise InvalidDataError from ``profile`` when a grid or
+    polished value is not finite.
     """
     values, lam_star, value_star = obj.profile(_LAMS, _BETAS)
     trace = [
         (lam, beta, value)
-        for lam, row in zip(_LAMS.tolist(), _finite(values).tolist())
+        for lam, row in zip(_LAMS.tolist(), values.tolist())
         for beta, value in zip(_BETAS, row)
     ]
 
     if config.refine:
-        trace.extend(zip(lam_star.tolist(), _BETAS, _finite(value_star).tolist()))
+        trace.extend(zip(lam_star.tolist(), _BETAS, value_star.tolist()))
         j = int(np.argmin(value_star))
         lo, hi = _BETAS[max(j - 1, 0)], _BETAS[min(j + 1, len(_BETAS) - 1)]
 
         def profiled(beta: float) -> float:
             _, lam, value = obj.profile(_LAMS, [float(beta)])
-            trace.append((float(lam[0]), float(beta), float(_finite(value)[0])))
+            trace.append((float(lam[0]), float(beta), float(value[0])))
             return trace[-1][2]
 
         scipy.optimize.minimize_scalar(
@@ -342,7 +344,8 @@ def _step(name: str, fn, *args, **kwargs):
 
 def _fit(route: str, family: KernelFamily, n: int, objective, solve, config, jitter=0.0):
     """Shared tail of both pipelines: search, coefficient solve, degrees of
-    freedom, root check and the result tagged ``<route>-<family>``.
+    freedom and the result tagged ``<route>-<family>``, whose construction
+    runs the root check.
 
     ``solve(spec, eta)`` is the coefficient solve of ``route`` ("me" or
     "pem"); failures name the step ``hyperparameters`` or ``kernel_<route>``.
@@ -350,15 +353,12 @@ def _fit(route: str, family: KernelFamily, n: int, objective, solve, config, jit
     hyper = _step("hyperparameters", optimize_hyperparameters, objective, config)
     spec = KernelSpec(family, hyper.eta_hat.beta, n + 1)
     b_hat = _step(f"kernel_{route}", solve, spec, hyper.eta_hat)
-    is_min_phase, max_modulus = check_min_phase(b_hat)
     return EstimateResult(
         b_hat=b_hat,
         eta_hat=hyper.eta_hat,
         df=objective.df(hyper.eta_hat),
-        min_phase_verified=is_min_phase,
-        jitter_used=jitter,
         method_tag=Method(f"{route}-{family.value}"),
-        max_root_modulus=max_modulus,
+        jitter_used=jitter,
     )
 
 

@@ -4,8 +4,9 @@ import csv
 
 import numpy as np
 
-from kmaxent.covariance import TimeSeries
+from kmaxent.covariance import TimeSeries, build_toeplitz, estimate_lags
 from kmaxent.errors import DataParseError
+from kmaxent.estimators import PredictorPolynomial, yule_walker
 from kmaxent.kernels import KernelFamily, KernelSpec, root_scale
 
 
@@ -14,6 +15,23 @@ def lagged_design(y: TimeSeries, n: int) -> tuple[np.ndarray, np.ndarray]:
     s = y.samples
     windows = np.lib.stride_tricks.sliding_window_view(s, n)[:-1]
     return np.ascontiguousarray(windows[:, ::-1]), s[n:]
+
+
+def me_bic_by_order(y: TimeSeries, n_max: int) -> tuple[PredictorPolynomial, int]:
+    """BIC order selection by one Yule-Walker solve per order n = 1..n_max.
+
+    BIC(n) = -2 N log b_0(n) + n log N, since sigma_n^2 = 1 / a_0(n) = b_0(n)^-2;
+    a later order must be strictly better to win.
+    """
+    N = y.n_samples
+    lags = estimate_lags(y, n_max)
+    best_bic, best = np.inf, None
+    for n in range(1, n_max + 1):
+        b = yule_walker(build_toeplitz(lags[: n + 1]))
+        bic = -2.0 * N * np.log(b.coeffs[0]) + n * np.log(N)
+        if bic < best_bic:
+            best_bic, best = bic, (b, n)
+    return best
 
 
 def square_root(spec: KernelSpec) -> np.ndarray:

@@ -9,8 +9,10 @@ from kmaxent.covariance import (
     cholesky,
     estimate_lags,
 )
-from kmaxent.errors import InvalidDataError, InvalidOrderError
+from kmaxent.errors import InvalidDataError, InvalidOrderError, NotPositiveDefiniteError
 from kmaxent.estimators import (
+    EstimateResult,
+    Method,
     PredictorPolynomial,
     build_whittle_design,
     check_min_phase,
@@ -30,7 +32,7 @@ from kmaxent.kernels import (
     kernel_matrix,
 )
 from kmaxent.simulate import generate, random_arma
-from oracles import lagged_design, trailing_block_root
+from oracles import lagged_design, me_bic_by_order, trailing_block_root
 
 
 def ar_series(coeffs, N, seed, sigma=1.0, burn=500):
@@ -111,6 +113,40 @@ class TestMeBic:
             me_bic(y, 10)
         with pytest.raises(InvalidOrderError):
             me_bic(y, 0)
+
+    @staticmethod
+    def assert_matches_order_loop(y, n_max):
+        b, chosen = me_bic(y, n_max)
+        b_ref, chosen_ref = me_bic_by_order(y, n_max)
+        assert chosen == chosen_ref
+        np.testing.assert_allclose(b.coeffs, b_ref.coeffs, rtol=1e-12, atol=0.0)
+
+    def test_matches_order_loop_on_random_arma(self):
+        for seed in range(40):
+            model = random_arma(np.random.SeedSequence([606, seed, 0]))
+            y = generate(model, 500, np.random.SeedSequence([606, seed, 1]))
+            self.assert_matches_order_loop(y, 50)
+
+    def test_matches_order_loop_on_white_noise(self):
+        for seed in range(20):
+            self.assert_matches_order_loop(
+                TimeSeries(np.random.default_rng(seed).standard_normal(500)), 50
+            )
+
+    def test_matches_order_loop_at_order_one(self, benchmark_series):
+        self.assert_matches_order_loop(benchmark_series, 1)
+
+    def test_factor_diagonal_is_every_orders_error_variance(self, benchmark_series):
+        # sigma_n^2 = 1 / (Sigma_n^{-1})_00 for the leading order-n block
+        matrix = build_toeplitz(estimate_lags(benchmark_series, 50)).matrix
+        L = np.linalg.cholesky(matrix)
+        for n in range(51):
+            dense = 1.0 / np.linalg.inv(matrix[: n + 1, : n + 1])[0, 0]
+            assert abs(L[n, n] ** 2 - dense) <= 1e-12 * dense, n
+
+    def test_singular_covariance_is_a_named_error(self):
+        with pytest.raises(NotPositiveDefiniteError):
+            me_bic(TimeSeries(np.zeros(100)), 5)
 
 
 class TestPreliminaryB0:
@@ -408,3 +444,16 @@ class TestCheckMinPhase:
             PredictorPolynomial(np.array([0.0, 1.0]))
         with pytest.raises(InvalidDataError):
             PredictorPolynomial(np.zeros(3))
+
+
+class TestEstimateResult:
+    def test_root_check_runs_on_construction(self):
+        result = EstimateResult(PredictorPolynomial([1.0, -2.0]), None, 1.0, Method.ME)
+        assert result.min_phase_verified is False
+        assert result.max_root_modulus == 2.0
+
+    def test_root_check_is_not_an_argument(self):
+        with pytest.raises(TypeError):
+            EstimateResult(
+                PredictorPolynomial([1.0, -0.5]), None, 1.0, Method.ME, min_phase_verified=True
+            )
