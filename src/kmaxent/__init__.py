@@ -27,7 +27,6 @@ from .estimators import (
     build_whittle_design,
     check_min_phase,
     kernel_me,
-    kernel_me_regularized_ls,
     kernel_pem,
     lagged_gram,
     me_bic,
@@ -45,7 +44,6 @@ from .harness import (
 )
 from .hyperopt import (
     HyperoptResult,
-    MarginalObjective,
     PipelineConfig,
     RidgeMarginal,
     neg_log_marginal,
@@ -59,7 +57,6 @@ from .kernels import (
     KernelFamily,
     KernelSpec,
     inverse_factorization,
-    kernel_matrix,
     scaled_inverse_R,
 )
 from .simulate import (

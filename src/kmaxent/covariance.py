@@ -73,9 +73,16 @@ class CholeskyFactor:
 
 
 def _lag_products(s: np.ndarray, n: int) -> np.ndarray:
-    """Lag sums P_k = sum_t s_t s_{t+k} for k = 0..n, one dot product per lag."""
+    """Lag sums P_k = sum_t s_t s_{t+k} for k = 0..n, one dot product per lag.
+
+    Raises InvalidDataError when a sum overflows, before any caller uses it.
+    """
     N = s.size
-    return np.array([s[: N - k] @ s[k:] for k in range(n + 1)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = np.array([s[: N - k] @ s[k:] for k in range(n + 1)])
+    if not np.isfinite(sums).all():
+        raise InvalidDataError("lags contain non-finite values")
+    return sums
 
 
 def estimate_lags(y: TimeSeries, n: int) -> np.ndarray:

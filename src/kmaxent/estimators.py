@@ -39,12 +39,7 @@ from .errors import (
     InvalidOrderError,
     NotPositiveDefiniteError,
 )
-from .kernels import (
-    Hyperparameters,
-    KernelSpec,
-    kernel_matrix,
-    _scaled_inverse,
-)
+from .kernels import Hyperparameters, KernelSpec, _scaled_inverse
 
 
 class Method(str, enum.Enum):
@@ -255,23 +250,6 @@ def kernel_me(
     v[0] = 1.0
     b = _solve_spd(cov.matrix + R, v) / design.b0_prelim
     return PredictorPolynomial(b)
-
-
-def kernel_me_regularized_ls(
-    design: WhittleDesign, spec: KernelSpec, eta: Hyperparameters
-) -> PredictorPolynomial:
-    """Algebraically equivalent closed form lam*K*Phi^T (lam*Phi*K*Phi^T + I)^{-1} v_tilde.
-
-    Kept as an independent route for cross-checking :func:`kernel_me`; the
-    two must agree to high relative accuracy on any valid input.
-    """
-    size = design.phi_data.shape[0]
-    _check_kernel_args(spec, eta, size)
-    K = kernel_matrix(spec)
-    phi = design.phi_data
-    M = eta.lam * (phi @ K @ phi.T) + np.eye(size)
-    t = _solve_spd(M, design.v_tilde)
-    return PredictorPolynomial(eta.lam * (K @ (phi.T @ t)))
 
 
 def lagged_gram(y: TimeSeries, n: int) -> np.ndarray:

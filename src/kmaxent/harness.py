@@ -79,8 +79,10 @@ class ExperimentConfig:
             raise InvalidDataError("at least one method must be requested")
         ordered = tuple(m for m in METHOD_ORDER if m in methods)
         object.__setattr__(self, "methods", ordered)
-        if self.n >= self.N:
-            raise InvalidOrderError(f"need n < N, got n={self.n}, N={self.N}")
+        if not 1 <= self.n < self.N:
+            raise InvalidOrderError(f"n must be >= 1 and < N, got n={self.n}, N={self.N}")
+        if self.low_order < 0:
+            raise InvalidOrderError(f"low_order must be >= 0, got {self.low_order}")
         if self.runs < 1:
             raise InvalidDataError(f"runs must be >= 1, got {self.runs}")
         if self.master_seed < 0:

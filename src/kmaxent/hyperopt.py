@@ -5,8 +5,10 @@ log-marginal likelihood of the data with the coefficient vector integrated
 out. Kernel-ME and kernel-PEM are two cases of one ridge-regression marginal
 likelihood with unit noise precision, implemented once in
 :class:`RidgeMarginal` on the reduced form B^T G B of the Gram matrix G and
-the structured kernel root B. Both pipelines end in one shared tail: search,
-coefficient solve, degrees of freedom and root check.
+the structured kernel root B. Every score, the single point of
+:func:`neg_log_marginal` included, comes from :meth:`RidgeMarginal.profile`.
+Both pipelines end in one shared tail: search, coefficient solve, degrees of
+freedom and root check.
 
 The surface is not convex, so the search is a deterministic two-stage
 procedure inside a fixed box (:class:`PipelineConfig`): an exhaustive coarse
@@ -22,11 +24,10 @@ tries (T. Chen and L. Ljung, Automatica 2013).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial
 from typing import ClassVar
 
 import numpy as np
-import scipy.linalg
 import scipy.optimize
 
 from .covariance import TimeSeries, ToeplitzCovariance, build_toeplitz, cholesky, estimate_lags
@@ -172,15 +173,6 @@ class RidgeMarginal:
         c = root_scale(KernelSpec(self.family, beta, self.size), trailing=self.trailing)
         return c[:, None] * self.reduced_gram * c, c * self.reduced_moment
 
-    def evaluate(self, eta: Hyperparameters) -> float:
-        # M = I + lam A >= I, so its Cholesky is stable: the log-determinant
-        # comes from the factor diagonal, the quadratic form from one solve
-        A, w = self._reduced(eta.beta)
-        L = np.linalg.cholesky(eta.lam * A + np.eye(w.size))
-        log_det = 2.0 * np.sum(np.log(np.diag(L)))
-        z = scipy.linalg.solve_triangular(L, w, lower=True, check_finite=False)
-        return 0.5 * (log_det + self.target_ss - eta.lam * (z @ z))
-
     def _score(self, s: np.ndarray, u2: np.ndarray, lam: np.ndarray) -> np.ndarray:
         """Objective from eigenvalues s of A and u2 = (Q^T w)^2, one row per
         beta: log det = sum log(1 + lam s) and w^T (I + lam A)^{-1} w =
@@ -190,6 +182,7 @@ class RidgeMarginal:
         quad = self.target_ss - lam[..., 0] * (u2 / (1.0 + lam_s)).sum(axis=-1)
         return 0.5 * (np.log1p(lam_s).sum(axis=-1) + quad)
 
+    @np.errstate(over="ignore", invalid="ignore")
     def profile(self, lams: np.ndarray, betas) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Grid values, shape (len(lams), len(betas)), and each beta's polished
         best lambda in the box of the ascending ``lams`` with its value.
@@ -202,17 +195,19 @@ class RidgeMarginal:
         h = d2f/dx2 = g + 0.5 sum(a (2q - a)). The value returned is never
         above the grid minimum. A grid value that is not finite raises
         InvalidDataError before the polish, and so does a polished one: the
-        minimum of such a trace would depend on its order.
+        minimum of such a trace would depend on its order. Numpy's overflow and
+        invalid-value warnings are off throughout: the finiteness checks name
+        the failure, and the polish may overflow in q on a finite grid, where
+        it bisects.
         """
         lams = np.asarray(lams, dtype=float)
         s, u2 = np.empty((2, len(betas), self.reduced_moment.size))
-        with np.errstate(over="ignore", invalid="ignore"):
-            for j, beta in enumerate(betas):
-                A, w = self._reduced(float(beta))
-                s[j], Q = np.linalg.eigh(A)
-                u2[j] = (Q.T @ w) ** 2
-            s = np.clip(s, 0.0, None)
-            values = _finite(self._score(s, u2, lams[:, None, None]))
+        for j, beta in enumerate(betas):
+            A, w = self._reduced(float(beta))
+            s[j], Q = np.linalg.eigh(A)
+            u2[j] = (Q.T @ w) ** 2
+        s = np.clip(s, 0.0, None)
+        values = _finite(self._score(s, u2, lams[:, None, None]))
         best = np.argmin(values, axis=0)
         x0 = np.log(lams[best])
         lo = np.log(lams[np.maximum(best - 1, 0)])
@@ -244,27 +239,6 @@ class RidgeMarginal:
 
 
 @dataclass(frozen=True)
-class MarginalObjective:
-    """Negative log-marginal likelihood of the whitened maximum-entropy fit."""
-
-    design: WhittleDesign
-    cov: ToeplitzCovariance
-    kernel_family: KernelFamily
-    N: int
-    n: int
-
-    @cached_property
-    def core(self) -> RidgeMarginal:
-        return RidgeMarginal.whittle(self.design, self.cov, self.kernel_family)
-
-    def evaluate(self, eta: Hyperparameters) -> float:
-        return self.core.evaluate(eta)
-
-    def profile(self, lams: np.ndarray, betas):
-        return self.core.profile(lams, betas)
-
-
-@dataclass(frozen=True)
 class HyperoptResult:
     """Outcome of the two-stage search; eta_hat attains the trace minimum.
 
@@ -279,13 +253,13 @@ class HyperoptResult:
     beta_on_edge: bool
 
 
-def neg_log_marginal(obj: MarginalObjective, eta: Hyperparameters) -> float:
+def neg_log_marginal(obj: RidgeMarginal, eta: Hyperparameters) -> float:
     """Value of 0.5 log det(lam Phi K Phi^T + I) + 0.5 v~^T (lam Phi K Phi^T + I)^{-1} v~.
 
-    Additive constants are fixed to zero by convention. Evaluated through the
-    shared :class:`RidgeMarginal` core.
+    Additive constants are fixed to zero by convention. Scored by the
+    search's own path, :meth:`RidgeMarginal.profile` at the single point eta.
     """
-    return obj.evaluate(eta)
+    return obj.profile(np.array([eta.lam]), [eta.beta])[0][0, 0]
 
 
 def optimize_hyperparameters(obj, config: PipelineConfig = PipelineConfig()) -> HyperoptResult:

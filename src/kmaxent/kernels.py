@@ -1,4 +1,4 @@
-"""Decay-encoding kernel matrices and their structured inverses.
+"""Decay-encoding kernels through their structured roots and inverses.
 
 Two prior covariance families for the predictor coefficient vector are
 provided: a diagonal kernel with geometrically decaying variances ("di") and a
@@ -8,8 +8,9 @@ storage is 0-based with the exponent offset applied explicitly.
 
 The tc kernel admits an exact inverse factorization K^{-1} = F D F^T with F
 lower bidiagonal and D diagonal, so every scaled inverse used downstream is
-built structurally instead of by matrix inversion; the kernel itself is very
-ill-conditioned for decay rates near one, while F and D are benign.
+built structurally, and the search works with the kernel root of
+:func:`root_scale`; the dense kernel is never formed. The kernel itself is
+very ill-conditioned for decay rates near one, while F and D are benign.
 """
 
 from __future__ import annotations
@@ -66,19 +67,6 @@ class KernelFactorization:
 def _check_beta(beta: float) -> None:
     if not (np.isfinite(beta) and 0.0 < beta < 1.0):
         raise InvalidHyperparameterError(f"beta must lie strictly in (0, 1), got {beta}")
-
-
-def kernel_matrix(spec: KernelSpec) -> np.ndarray:
-    """Dense kernel matrix for the given spec.
-
-    di: diag(beta, beta^2, ..., beta^{n+1}).
-    tc: entry (t, s) = beta^{max(t, s)} - beta^{n+2} with t, s = 1..n+1.
-    """
-    beta, size = spec.beta, spec.size
-    if spec.family is KernelFamily.DI:
-        return np.diag(beta ** np.arange(1, size + 1))
-    idx = np.arange(1, size + 1)
-    return beta ** np.maximum.outer(idx, idx) - beta ** (size + 1)
 
 
 def _bidiagonal_difference(size: int) -> np.ndarray:

@@ -1,13 +1,23 @@
 """Dense reference implementations that the structured library code is checked against."""
 
 import csv
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+import scipy.linalg
 
-from kmaxent.covariance import TimeSeries, build_toeplitz, estimate_lags
+from kmaxent.covariance import TimeSeries, ToeplitzCovariance, build_toeplitz, estimate_lags
 from kmaxent.errors import DataParseError
-from kmaxent.estimators import PredictorPolynomial, yule_walker
-from kmaxent.kernels import KernelFamily, KernelSpec, root_scale
+from kmaxent.estimators import (
+    PredictorPolynomial,
+    WhittleDesign,
+    _check_kernel_args,
+    _solve_spd,
+    yule_walker,
+)
+from kmaxent.hyperopt import RidgeMarginal
+from kmaxent.kernels import Hyperparameters, KernelFamily, KernelSpec, root_scale
 
 
 def lagged_design(y: TimeSeries, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -32,6 +42,69 @@ def me_bic_by_order(y: TimeSeries, n_max: int) -> tuple[PredictorPolynomial, int
         if bic < best_bic:
             best_bic, best = bic, (b, n)
     return best
+
+
+def kernel_matrix(spec: KernelSpec) -> np.ndarray:
+    """Dense kernel matrix for the given spec.
+
+    di: diag(beta, beta^2, ..., beta^{n+1}).
+    tc: entry (t, s) = beta^{max(t, s)} - beta^{n+2} with t, s = 1..n+1.
+    """
+    beta, size = spec.beta, spec.size
+    if spec.family is KernelFamily.DI:
+        return np.diag(beta ** np.arange(1, size + 1))
+    idx = np.arange(1, size + 1)
+    return beta ** np.maximum.outer(idx, idx) - beta ** (size + 1)
+
+
+def kernel_me_regularized_ls(
+    design: WhittleDesign, spec: KernelSpec, eta: Hyperparameters
+) -> PredictorPolynomial:
+    """Algebraically equivalent closed form lam*K*Phi^T (lam*Phi*K*Phi^T + I)^{-1} v_tilde.
+
+    An independent route for cross-checking :func:`kmaxent.estimators.kernel_me`;
+    the two must agree to high relative accuracy on any valid input.
+    """
+    size = design.phi_data.shape[0]
+    _check_kernel_args(spec, eta, size)
+    K = kernel_matrix(spec)
+    phi = design.phi_data
+    M = eta.lam * (phi @ K @ phi.T) + np.eye(size)
+    t = _solve_spd(M, design.v_tilde)
+    return PredictorPolynomial(eta.lam * (K @ (phi.T @ t)))
+
+
+def cholesky_neg_log_marginal(core: RidgeMarginal, eta: Hyperparameters) -> float:
+    """The ridge marginal likelihood at one point by Cholesky, not eigenvalues."""
+    # M = I + lam A >= I, so its Cholesky is stable: the log-determinant
+    # comes from the factor diagonal, the quadratic form from one solve
+    A, w = core._reduced(eta.beta)
+    L = np.linalg.cholesky(eta.lam * A + np.eye(w.size))
+    log_det = 2.0 * np.sum(np.log(np.diag(L)))
+    z = scipy.linalg.solve_triangular(L, w, lower=True, check_finite=False)
+    return 0.5 * (log_det + core.target_ss - eta.lam * (z @ z))
+
+
+@dataclass(frozen=True)
+class MarginalObjective:
+    """Negative log-marginal likelihood of the whitened maximum-entropy fit.
+
+    Keeps the design, covariance and order next to the library's
+    :class:`RidgeMarginal` so the dense oracles of a test can rebuild them.
+    """
+
+    design: WhittleDesign
+    cov: ToeplitzCovariance
+    kernel_family: KernelFamily
+    N: int
+    n: int
+
+    @cached_property
+    def core(self) -> RidgeMarginal:
+        return RidgeMarginal.whittle(self.design, self.cov, self.kernel_family)
+
+    def profile(self, lams: np.ndarray, betas):
+        return self.core.profile(lams, betas)
 
 
 def square_root(spec: KernelSpec) -> np.ndarray:

@@ -17,17 +17,15 @@ from kmaxent.estimators import (
     build_whittle_design,
     check_min_phase,
     kernel_me,
-    kernel_me_regularized_ls,
     preliminary_b0,
 )
 from kmaxent.harness import ExperimentConfig, run_monte_carlo
-from kmaxent.hyperopt import MarginalObjective, neg_log_marginal
+from kmaxent.hyperopt import neg_log_marginal
 from kmaxent.kernels import (
     Hyperparameters,
     KernelFamily,
     KernelSpec,
     inverse_factorization,
-    kernel_matrix,
 )
 from kmaxent.simulate import (
     SpectrumModel,
@@ -39,6 +37,7 @@ from kmaxent.simulate import (
 )
 
 from conftest import naive_lags
+from oracles import kernel_matrix, kernel_me_regularized_ls
 from test_hyperopt import _quadrature_neg_log, small_objective
 
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -68,6 +70,13 @@ class TestEstimateLags:
             TimeSeries(np.array([1.0, np.nan, 2.0]))
         with pytest.raises(InvalidDataError):
             TimeSeries(np.array([1.0, np.inf]))
+
+    def test_overflowing_lag_sums_rejected_without_numpy_warnings(self):
+        y = TimeSeries(np.array([1e160, -1e160, 1e160]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidDataError, match="lags contain non-finite values"):
+                estimate_lags(y, 1)
 
     def test_too_short(self):
         with pytest.raises(InvalidDataError):

@@ -17,22 +17,21 @@ from kmaxent.estimators import (
     build_whittle_design,
     check_min_phase,
     kernel_me,
-    kernel_me_regularized_ls,
     kernel_pem,
     lagged_gram,
     me_bic,
     preliminary_b0,
     yule_walker,
 )
-from kmaxent.kernels import (
-    Hyperparameters,
-    KernelFamily,
-    KernelSpec,
-    inverse_factorization,
-    kernel_matrix,
-)
+from kmaxent.kernels import Hyperparameters, KernelFamily, KernelSpec, inverse_factorization
 from kmaxent.simulate import generate, random_arma
-from oracles import lagged_design, me_bic_by_order, trailing_block_root
+from oracles import (
+    kernel_matrix,
+    kernel_me_regularized_ls,
+    lagged_design,
+    me_bic_by_order,
+    trailing_block_root,
+)
 
 
 def ar_series(coeffs, N, seed, sigma=1.0, burn=500):

@@ -42,6 +42,10 @@ class TestConfig:
     def test_validation(self):
         with pytest.raises(InvalidOrderError):
             ExperimentConfig(N=50, n=50)
+        with pytest.raises(InvalidOrderError, match="n must be >= 1"):
+            ExperimentConfig(n=0)
+        with pytest.raises(InvalidOrderError, match="low_order must be >= 0"):
+            ExperimentConfig(low_order=-1)
         with pytest.raises(InvalidDataError):
             ExperimentConfig(methods=(), N=100, n=10)
         with pytest.raises(InvalidDataError):
@@ -495,6 +499,34 @@ class TestCli:
         assert cli.main(args) == 2
         err = capsys.readouterr().err
         assert err.startswith("kmaxent: ") and "master_seed" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["single", "montecarlo", "estimate"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize(
+        "key, flag, value", [("n", "--n", 0), ("low_order", "--low-order", -1)]
+    )
+    def test_bad_order_setting_is_a_data_error(
+        self, tmp_path, capsys, command, source, key, flag, value
+    ):
+        # a bad setting is a data error, not a failure of every record
+        args = [command, "--methods", "me,me-tc", "-N", "200", "--grid-size", "32"]
+        if command == "montecarlo":
+            args += ["--runs", "2"]
+        if command == "estimate":
+            data = tmp_path / "data.csv"
+            samples = generate(benchmark_arma(), 200, 4).samples.tolist()
+            data.write_text("".join(f"{v!r}\n" for v in samples))
+            args.insert(1, str(data))
+        if source == "flag":
+            args += [flag, str(value)]
+        else:
+            config = tmp_path / "cfg.json"
+            config.write_text(json.dumps({key: value}))
+            args += ["--config", str(config)]
+        assert cli.main(args + ["--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("kmaxent: ") and f"{key} must be" in err
         assert "Traceback" not in err
 
     def test_int_accepted_for_float_config_field(self, tmp_path):

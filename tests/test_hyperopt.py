@@ -10,7 +10,6 @@ from kmaxent.errors import InvalidOrderError, KmaxentError, PipelineError
 from kmaxent.estimators import Method, build_whittle_design, lagged_gram, preliminary_b0
 from kmaxent.harness import ExperimentConfig, estimate_file, fit_method
 from kmaxent.hyperopt import (
-    MarginalObjective,
     PipelineConfig,
     RidgeMarginal,
     neg_log_marginal,
@@ -18,9 +17,15 @@ from kmaxent.hyperopt import (
     run_pem_pipeline,
     run_pipeline,
 )
-from kmaxent.kernels import Hyperparameters, KernelFamily, KernelSpec, kernel_matrix
+from kmaxent.kernels import Hyperparameters, KernelFamily, KernelSpec
 from kmaxent.simulate import benchmark_arma, generate
-from oracles import lagged_design, trailing_block_root
+from oracles import (
+    MarginalObjective,
+    cholesky_neg_log_marginal,
+    kernel_matrix,
+    lagged_design,
+    trailing_block_root,
+)
 
 GRID_LAMS = np.array([10.0**lg for lg in np.linspace(-4, 4, 17)])
 GRID_BETAS = np.linspace(0.05, 0.95, 19)
@@ -61,7 +66,7 @@ def regression_objective(y, n, rows, b0, family):
 def dense_regression_neg_log(X, target, b0, obj, eta):
     """-log N(y; 0, lam*sigma^2*X Kbar X^T + sigma^2 I) with dense slogdet and
     inverse, sigma^2 = 1/b0^2, dropping the (m/2) log sigma^2 constant that
-    evaluate() omits."""
+    the ridge marginal omits."""
     sigma2 = 1.0 / b0**2
     m = target.size
     kbar = kernel_matrix(KernelSpec(obj.family, eta.beta, obj.size))[1:, 1:]
@@ -73,7 +78,7 @@ def dense_regression_neg_log(X, target, b0, obj, eta):
 class TestNegLogMarginal:
     def test_lambda_zero_limit(self, benchmark_setup):
         _, cov, _, design = benchmark_setup
-        obj = MarginalObjective(design=design, cov=cov, kernel_family=KernelFamily.TC, N=500, n=50)
+        obj = RidgeMarginal.whittle(design, cov, KernelFamily.TC)
         value = neg_log_marginal(obj, Hyperparameters(1e-15, 0.5))
         assert abs(value - 0.5 * design.v_tilde @ design.v_tilde) <= 1e-8
 
@@ -113,22 +118,29 @@ class TestNegLogMarginal:
         assert np.ptp(diffs) <= 1e-3
 
     def test_regression_objective_finite_at_extremes(self, benchmark_series):
-        obj, _, _ = regression_objective(benchmark_series, 20, None, 0.5, KernelFamily.TC)
-        for lam in (1e-10, 1.0, 1e10):
-            for beta in (1e-9, 0.5, 1.0 - 1e-12):
-                assert np.isfinite(obj.evaluate(Hyperparameters(lam, beta)))
+        # the public point score runs the search's eigenvalue path and must
+        # agree with the Cholesky oracle
+        for family in KernelFamily:
+            obj, _, _ = regression_objective(benchmark_series, 20, None, 0.5, family)
+            for lam in (1e-10, 1.0, 1e10):
+                for beta in (1e-9, 0.5, 1.0 - 1e-12):
+                    eta = Hyperparameters(lam, beta)
+                    value = neg_log_marginal(obj, eta)
+                    assert np.isfinite(value)
+                    expected = cholesky_neg_log_marginal(obj, eta)
+                    assert abs(value - expected) <= 1e-13 * abs(expected)
 
     def test_regression_objective_matches_dense_gaussian_density(self, benchmark_series):
         obj, X, target = regression_objective(benchmark_series, 8, 60, 0.73, KernelFamily.TC)
         for lam, beta in ((0.05, 0.3), (1.0, 0.85), (30.0, 0.6)):
             eta = Hyperparameters(lam, beta)
             expected = dense_regression_neg_log(X, target, 0.73, obj, eta)
-            got = obj.evaluate(eta)
+            got = neg_log_marginal(obj, eta)
             assert abs(got - expected) <= 1e-8 * max(1.0, abs(expected))
 
 
 class TestRidgeMarginalCore:
-    """Profile grid values, evaluate and the dense oracles agree on both routes."""
+    """Profile grid values and the Cholesky and dense oracles agree on both routes."""
 
     LAMS = (1e-4, 1.0, 1e4)
     BETAS = (0.05, 0.5, 0.95)
@@ -137,7 +149,7 @@ class TestRidgeMarginalCore:
         me = small_objective(seed=5, N=80, n=4, family=family)
         pem, X, target = regression_objective(benchmark_series, 4, 60, 0.73, family)
         return [
-            (me, lambda eta: dense_neg_log_marginal(me, eta)),
+            (me.core, lambda eta: dense_neg_log_marginal(me, eta)),
             (pem, lambda eta: dense_regression_neg_log(X, target, 0.73, pem, eta)),
         ]
 
@@ -149,7 +161,7 @@ class TestRidgeMarginalCore:
             for i, lam in enumerate(self.LAMS):
                 for j, beta in enumerate(self.BETAS):
                     eta = Hyperparameters(lam, beta)
-                    for other in (obj.evaluate(eta), dense(eta)):
+                    for other in (cholesky_neg_log_marginal(obj, eta), dense(eta)):
                         assert abs(grid[i, j] - other) <= 1e-8 * max(1.0, abs(other))
 
     @pytest.mark.parametrize("family", list(KernelFamily))
@@ -157,7 +169,7 @@ class TestRidgeMarginalCore:
         # the polished lambda of each beta is checked against a 2001-point scan
         # of ln lambda over its grid bracket, scored by Cholesky
         _, cov, _, design = benchmark_setup
-        obj = MarginalObjective(design=design, cov=cov, kernel_family=family, N=500, n=50)
+        obj = RidgeMarginal.whittle(design, cov, family)
         lams = np.array([10.0**lg for lg in np.linspace(-4, 4, 17)])
         betas = [0.3, 0.7, 0.9]
         values, lam_star, value_star = obj.profile(lams, betas)
@@ -166,12 +178,12 @@ class TestRidgeMarginalCore:
             lo, hi = lams[max(i - 1, 0)], lams[min(i + 1, 16)]
             assert lo <= lam_star[j] <= hi
             scan = min(
-                obj.evaluate(Hyperparameters(float(lam), beta))
+                cholesky_neg_log_marginal(obj, Hyperparameters(float(lam), beta))
                 for lam in np.exp(np.linspace(np.log(lo), np.log(hi), 2001))
             )
             tol = 1e-12 * max(1.0, abs(scan))
             assert value_star[j] <= scan + tol
-            exact = obj.evaluate(Hyperparameters(float(lam_star[j]), beta))
+            exact = cholesky_neg_log_marginal(obj, Hyperparameters(float(lam_star[j]), beta))
             assert abs(value_star[j] - exact) <= 1e-10 * max(1.0, abs(exact))
 
     @pytest.mark.parametrize("family", list(KernelFamily))
@@ -254,12 +266,12 @@ class TestOptimizeHyperparameters:
 
     def test_never_worse_than_best_grid_point(self, benchmark_setup):
         _, cov, _, design = benchmark_setup
-        obj = MarginalObjective(design=design, cov=cov, kernel_family=KernelFamily.TC, N=500, n=50)
+        obj = RidgeMarginal.whittle(design, cov, KernelFamily.TC)
         config = PipelineConfig()
         result = optimize_hyperparameters(obj, config)
         # independent recomputation of every stage-1 grid value
         grid_best = min(
-            obj.evaluate(Hyperparameters(10.0**lg, float(beta)))
+            cholesky_neg_log_marginal(obj, Hyperparameters(10.0**lg, float(beta)))
             for lg in np.linspace(-4, 4, 17)
             for beta in np.linspace(0.05, 0.95, 19)
         )
@@ -267,7 +279,7 @@ class TestOptimizeHyperparameters:
 
     def test_eta_attains_trace_minimum(self, benchmark_setup):
         _, cov, _, design = benchmark_setup
-        obj = MarginalObjective(design=design, cov=cov, kernel_family=KernelFamily.DI, N=500, n=50)
+        obj = RidgeMarginal.whittle(design, cov, KernelFamily.DI)
         result = optimize_hyperparameters(obj, PipelineConfig())
         values = [entry[2] for entry in result.trace]
         assert result.objective_value == min(values)
@@ -374,6 +386,31 @@ def test_overflowing_scale_fits_or_raises_a_named_error(method, scale):
     assert np.all(np.isfinite(result.b_hat.coeffs))
 
 
+@pytest.mark.parametrize("method", list(Method))
+def test_scale_1e150_fits_without_numpy_warnings(method):
+    # the grid is finite at this scale while lam * u2 * d * d of the Newton
+    # polish overflows for me-tc, pem-di and pem-tc
+    y = TimeSeries(generate(benchmark_arma(), 500, 1).samples * 1e150)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = fit_method(method, y, ExperimentConfig())
+    assert np.all(np.isfinite(result.b_hat.coeffs))
+    if method in (Method.ME, Method.ME_DI, Method.ME_TC):
+        assert result.min_phase_verified
+
+
+@pytest.mark.parametrize("scale", [1e153, 1e200])
+@pytest.mark.parametrize("method", list(Method))
+def test_overflowing_lags_are_a_named_error_without_numpy_warnings(method, scale):
+    # the lag sums overflow; the error has to come before the PEM routes
+    # subtract the edge rows from a non-finite Gram
+    y = TimeSeries(generate(benchmark_arma(), 500, 1).samples * scale)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(KmaxentError, match="lags contain non-finite values"):
+            fit_method(method, y, ExperimentConfig())
+
+
 @pytest.mark.parametrize(
     "method, scale",
     [(method, 10**150.5) for method in KERNEL_METHODS]
@@ -439,7 +476,7 @@ class TestBoxEdge:
 
 def test_no_refine_traces_exactly_the_grid(benchmark_setup):
     _, cov, _, design = benchmark_setup
-    obj = MarginalObjective(design=design, cov=cov, kernel_family=KernelFamily.TC, N=500, n=50)
+    obj = RidgeMarginal.whittle(design, cov, KernelFamily.TC)
     result = optimize_hyperparameters(obj, PipelineConfig(refine=False))
     expected = obj.profile(GRID_LAMS, GRID_BETAS)[0]
     assert len(result.trace) == 323

@@ -9,10 +9,9 @@ from kmaxent.kernels import (
     KernelFamily,
     KernelSpec,
     inverse_factorization,
-    kernel_matrix,
     scaled_inverse_R,
 )
-from oracles import square_root, trailing_block_root
+from oracles import kernel_matrix, square_root, trailing_block_root
 
 
 class TestKernelMatrix:
