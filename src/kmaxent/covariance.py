@@ -2,7 +2,10 @@
 
 The sample covariance lags use the biased estimator (divisor N), which keeps
 the assembled Toeplitz matrix positive semidefinite by construction; a
-capped diagonal jitter repairs the rare numerically indefinite case.
+capped diagonal jitter repairs the rare numerically indefinite case. Their
+lag sums P_k are computed once per series and kept on it
+(:meth:`TimeSeries.lag_sums`), so ME-BIC, the preliminary b_0, kernel-ME's
+Toeplitz matrix and kernel-PEM's Gram all read the same numbers.
 """
 
 from __future__ import annotations
@@ -21,29 +24,51 @@ _JITTER_ESCALATIONS = 4
 
 @dataclass(frozen=True)
 class TimeSeries:
-    """A finite real sample y_1..y_N.
+    """A finite real sample y_1..y_N of at least two values.
 
-    Parameters
-    ----------
-    samples : array_like, 1d
-        Signal values. Must be finite and contain at least two samples.
+    ``samples`` is a read-only copy of the input, so the lag sums kept by
+    :meth:`lag_sums` always belong to it.
     """
 
     samples: np.ndarray
 
     def __post_init__(self):
-        y = np.asarray(self.samples, dtype=float)
+        y = np.array(self.samples, dtype=float)
         if y.ndim != 1:
             raise InvalidDataError("samples must be one-dimensional")
         if y.size < 2:
             raise InvalidDataError("need at least two samples")
         if not np.all(np.isfinite(y)):
             raise InvalidDataError("samples contain non-finite values")
+        y.flags.writeable = False
         object.__setattr__(self, "samples", y)
 
     @property
     def n_samples(self) -> int:
         return self.samples.size
+
+    def lag_sums(self, n: int) -> np.ndarray:
+        """Lag sums P_k = sum_t y_t y_{t+k} for k = 0..n; requires 0 <= n < N.
+
+        One slice dot product per lag, so a prefix is bitwise equal to a
+        fresh computation. The sums are kept on the series: a call computes
+        only the lags beyond those already kept and returns a read-only
+        prefix. Raises InvalidDataError when a sum overflows.
+        """
+        N = self.n_samples
+        if not 0 <= n < N:
+            raise InvalidOrderError(f"lag order n={n} must satisfy 0 <= n < N={N}")
+        kept = self.__dict__.get("_lag_sums", np.empty(0))
+        if kept.size <= n:
+            s = self.samples
+            with np.errstate(over="ignore", invalid="ignore"):
+                new = np.array([s[: N - k] @ s[k:] for k in range(kept.size, n + 1)])
+            if not np.isfinite(new).all():
+                raise InvalidDataError("lags contain non-finite values")
+            kept = np.concatenate((kept, new))
+            kept.flags.writeable = False
+            object.__setattr__(self, "_lag_sums", kept)
+        return kept[: n + 1]
 
 
 @dataclass(frozen=True)
@@ -72,36 +97,13 @@ class CholeskyFactor:
     jitter: float = 0.0
 
 
-def _lag_products(s: np.ndarray, n: int) -> np.ndarray:
-    """Lag sums P_k = sum_t s_t s_{t+k} for k = 0..n, one dot product per lag.
-
-    Raises InvalidDataError when a sum overflows, before any caller uses it.
-    """
-    N = s.size
-    with np.errstate(over="ignore", invalid="ignore"):
-        sums = np.array([s[: N - k] @ s[k:] for k in range(n + 1)])
-    if not np.isfinite(sums).all():
-        raise InvalidDataError("lags contain non-finite values")
-    return sums
-
-
 def estimate_lags(y: TimeSeries, n: int) -> np.ndarray:
-    """Biased sample covariance lags r_k = (1/N) * sum_t y_t y_{t+k}.
+    """Biased sample covariance lags r_k = (1/N) * sum_t y_t y_{t+k}, k = 0..n.
 
-    Parameters
-    ----------
-    y : TimeSeries
-    n : int
-        Largest lag; requires 0 <= n < N.
-
-    Returns
-    -------
-    ndarray of shape (n + 1,) holding r_0..r_n.
+    The series' kept lag sums (:meth:`TimeSeries.lag_sums`) divided by N;
+    requires 0 <= n < N.
     """
-    N = y.n_samples
-    if not 0 <= n < N:
-        raise InvalidOrderError(f"lag order n={n} must satisfy 0 <= n < N={N}")
-    return _lag_products(y.samples, n) / N
+    return y.lag_sums(n) / y.n_samples
 
 
 def build_toeplitz(lags: np.ndarray) -> ToeplitzCovariance:

@@ -5,10 +5,11 @@ selection, the kernel-regularized maximum-entropy estimator in closed form,
 a kernel-regularized one-step-predictor baseline, and the minimum-phase root
 check applied to every estimate.
 
-The predictor baseline's statistics are blocks of one (n+1) x (n+1) Gram
-matrix of the covariance method, built by :func:`lagged_gram` as the
-autocorrelation sums minus the 2n edge rows of the zero-padded design. The
-N x n lagged design is never formed, so the baseline needs O(N + n^2) memory.
+Every estimator reads the lag sums P_k = sum_t y_t y_{t+k} that each series
+computes once (:meth:`TimeSeries.lag_sums`). The predictor baseline's
+statistics are blocks of one (n+1) x (n+1) Gram matrix of the covariance
+method: :func:`lagged_gram` builds it from those sums minus the 2n edge rows
+of the zero-padded design, so the baseline needs O(N + n^2) memory.
 
 Conventions: the estimated inverse spectral factor is the polynomial
 b(z) = sum_k b_k z^{-k}; its coefficient vector [b_0 ... b_n] has b_0 > 0 for
@@ -29,7 +30,6 @@ from .covariance import (
     CholeskyFactor,
     TimeSeries,
     ToeplitzCovariance,
-    _lag_products,
     build_toeplitz,
     estimate_lags,
 )
@@ -184,10 +184,6 @@ def preliminary_b0(y: TimeSeries, low_order: int = 4) -> float:
     low-order autoregressive model; used to linearize the log term of the
     likelihood and to scale the whitened design.
     """
-    if not 0 <= low_order < y.n_samples:
-        raise InvalidOrderError(
-            f"low_order={low_order} must satisfy 0 <= low_order < N={y.n_samples}"
-        )
     b = yule_walker(build_toeplitz(estimate_lags(y, low_order)))
     return float(b.coeffs[0])
 
@@ -259,9 +255,10 @@ def lagged_gram(y: TimeSeries, n: int) -> np.ndarray:
     X^T y = G[1:, 0] and X^T X = G[1:, 1:], with targets y_t and lagged rows
     X_t = [y_{t-1} ... y_{t-n}]. Padding the series with n zeros at both ends
     gives a windowed design whose Gram is toeplitz(P_0..P_n), with lag sums
-    P_k = sum_t y_t y_{t+k}; Z is that design without its n head rows H and
-    n tail rows T, so G = toeplitz(P) - (H^T H + T^T T). Only y[:n] and
-    y[N-n:] enter H and T, and Z is never formed: O(N n) time, O(n^2) memory.
+    P_k = sum_t y_t y_{t+k} (:meth:`TimeSeries.lag_sums`, kept on the series);
+    Z is that design without its n head rows H and n tail rows T, so
+    G = toeplitz(P) - (H^T H + T^T T). Only y[:n] and y[N-n:] enter H and T,
+    and Z is never formed: O(n^2) time beyond the lag sums, O(n^2) memory.
     """
     N = y.n_samples
     if n < 1 or N <= 2 * n:
@@ -271,7 +268,7 @@ def lagged_gram(y: TimeSeries, n: int) -> np.ndarray:
     windows = np.lib.stride_tricks.sliding_window_view
     H = windows(np.concatenate((pad, s[:n])), n + 1)[:, ::-1]
     T = windows(np.concatenate((s[N - n :], pad)), n + 1)[:, ::-1]
-    return scipy.linalg.toeplitz(_lag_products(s, n)) - (H.T @ H + T.T @ T)
+    return scipy.linalg.toeplitz(y.lag_sums(n)) - (H.T @ H + T.T @ T)
 
 
 def kernel_pem(
@@ -292,7 +289,8 @@ def kernel_pem(
     times the size-n kernel of the same family. The residuals come
     from filtering y with (1, -a) by ``np.convolve``, which is exact, O(N n)
     time and O(N) memory; the quadratic form in the Gram would cancel badly
-    on nearly predictable series.
+    on nearly predictable series. Residuals that are all zero, as when only
+    the first n samples are nonzero, raise InvalidDataError.
     """
     n = gram.shape[0] - 1
     _check_kernel_args(spec, eta, n + 1)
@@ -301,6 +299,8 @@ def kernel_pem(
     predictor = np.concatenate(([1.0], -a))
     resid = np.convolve(y.samples, predictor, mode="valid")
     sigma_hat = np.sqrt(np.mean(resid**2))
+    if sigma_hat == 0.0:
+        raise InvalidDataError("predictor residuals are all zero")
     return PredictorPolynomial(predictor / sigma_hat)
 
 

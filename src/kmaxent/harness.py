@@ -81,8 +81,10 @@ class ExperimentConfig:
         object.__setattr__(self, "methods", ordered)
         if not 1 <= self.n < self.N:
             raise InvalidOrderError(f"n must be >= 1 and < N, got n={self.n}, N={self.N}")
-        if self.low_order < 0:
-            raise InvalidOrderError(f"low_order must be >= 0, got {self.low_order}")
+        if not 0 <= self.low_order < self.N:
+            raise InvalidOrderError(
+                f"low_order must be >= 0 and < N, got low_order={self.low_order}, N={self.N}"
+            )
         if self.runs < 1:
             raise InvalidDataError(f"runs must be >= 1, got {self.runs}")
         if self.master_seed < 0:
@@ -287,14 +289,9 @@ def estimate_file(cfg: ExperimentConfig, input_path: str) -> dict:
     ``result.json`` and ``spectrum.csv`` under ``cfg.output_path`` when set;
     returns the result document.
     """
-    samples = _read_sample_column(input_path)
-    if samples.size <= cfg.n:
-        raise InvalidOrderError(
-            f"need more samples than the model order: N={samples.size}, n={cfg.n}"
-        )
-    y = TimeSeries(samples)
-    adjusted = replace(cfg, N=samples.size)
-    document: dict = {"n_samples": samples.size, "n": cfg.n, "methods": {}}
+    y = TimeSeries(_read_sample_column(input_path))
+    adjusted = replace(cfg, N=y.n_samples)
+    document: dict = {"n_samples": y.n_samples, "n": cfg.n, "methods": {}}
     spectra: dict[str, np.ndarray] = {}
     for method in adjusted.methods:
         try:

@@ -385,11 +385,12 @@ def run_pem_pipeline(
     Its Gram is built once by :func:`lagged_gram` (autocorrelation sums minus
     the 2n edge rows); the objective takes its blocks and :func:`kernel_pem`
     the whole matrix, so no N x n design is formed and memory is O(N + n^2).
-    Raises InvalidOrderError unless N > 2n >= 2.
+    Like :func:`run_pipeline` it runs the preliminary b_0 step first. Raises
+    InvalidOrderError unless N > 2n >= 2.
     """
-    gram = lagged_gram(y, n)
     kernel_family = KernelFamily(kernel_family)
     b0 = _step("preliminary_b0", preliminary_b0, y, config.low_order)
+    gram = lagged_gram(y, n)
     moments = gram[1:, 1:], gram[1:, 0], gram[0, 0]
     objective = _step("hyperparameters", RidgeMarginal.regression, *moments, b0, kernel_family)
     return _fit("pem", kernel_family, n, objective, partial(kernel_pem, y, gram), config)

@@ -89,9 +89,9 @@ def generate(model: ArmaModel, N: int, seed, burn_in: int = 2000) -> TimeSeries:
         raise InvalidDataError(f"N must be >= 1, got {N}")
     if burn_in < 0:
         raise InvalidDataError(f"burn_in must be >= 0, got {burn_in}")
-    rng = np.random.default_rng(seed)
-    noise = rng.standard_normal(N + burn_in)
-    out = scipy.signal.lfilter(model.numerator(), model.denominator(), noise)
+    # the noise is a temporary, freed before TimeSeries copies the output
+    draw = np.random.default_rng(seed).standard_normal
+    out = scipy.signal.lfilter(model.numerator(), model.denominator(), draw(N + burn_in))
     return TimeSeries(out[burn_in:])
 
 

@@ -13,6 +13,8 @@ from kmaxent.covariance import (
     estimate_lags,
 )
 from kmaxent.errors import InvalidDataError, InvalidOrderError, NotPositiveDefiniteError
+from kmaxent.estimators import Method, lagged_gram
+from kmaxent.harness import ExperimentConfig, fit_method
 
 from conftest import naive_lags
 
@@ -93,6 +95,64 @@ class TestEstimateLags:
         lags_neg = estimate_lags(TimeSeries(-y), n)
         # products of negated samples are bitwise identical
         assert np.array_equal(lags_pos, lags_neg)
+
+
+@pytest.fixture
+def lag_passes(monkeypatch):
+    """Orders at which a series computed new lag sums, in call order."""
+    passes = []
+    lag_sums = TimeSeries.lag_sums
+
+    def spy(self, n):
+        before = self.__dict__.get("_lag_sums")
+        out = lag_sums(self, n)
+        if self.__dict__.get("_lag_sums") is not before:
+            passes.append(n)
+        return out
+
+    monkeypatch.setattr(TimeSeries, "lag_sums", spy)
+    return passes
+
+
+class TestLagSums:
+    def test_prefix_is_bitwise_a_fresh_computation(self, benchmark_series):
+        s = benchmark_series.samples
+        y = TimeSeries(s)
+        full = y.lag_sums(50)
+        assert np.array_equal(y.lag_sums(4), full[:5])
+        assert np.array_equal(y.lag_sums(4), TimeSeries(s).lag_sums(4))
+        grown = TimeSeries(s)
+        grown.lag_sums(4)
+        assert np.array_equal(grown.lag_sums(50), full)
+
+    def test_estimators_read_the_kept_sums(self, benchmark_series, lag_passes):
+        y = TimeSeries(benchmark_series.samples)
+        sums = y.lag_sums(50)
+        lags = estimate_lags(y, 50)
+        gram = lagged_gram(y, 20)
+        assert lag_passes == [50]
+        assert np.array_equal(lags, sums / y.n_samples)
+        assert np.array_equal(gram, lagged_gram(TimeSeries(benchmark_series.samples), 20))
+
+    def test_five_method_fit_loop_makes_one_lag_pass(self, benchmark_series, lag_passes):
+        y = TimeSeries(benchmark_series.samples)
+        cfg = ExperimentConfig()
+        for method in Method:
+            fit_method(method, y, cfg)
+        assert lag_passes == [cfg.n]
+
+    def test_samples_and_sums_are_read_only_copies(self):
+        data = np.random.default_rng(0).standard_normal(100)
+        kept = data.copy()
+        y = TimeSeries(data)
+        sums = y.lag_sums(5).copy()
+        data[:] = 0.0
+        assert np.array_equal(y.samples, kept)
+        assert np.array_equal(y.lag_sums(5), sums)
+        with pytest.raises(ValueError):
+            y.samples[0] = 0.0
+        with pytest.raises(ValueError):
+            y.lag_sums(5)[0] = 0.0
 
 
 class TestBuildToeplitz:

@@ -504,7 +504,8 @@ class TestCli:
     @pytest.mark.parametrize("command", ["single", "montecarlo", "estimate"])
     @pytest.mark.parametrize("source", ["flag", "config"])
     @pytest.mark.parametrize(
-        "key, flag, value", [("n", "--n", 0), ("low_order", "--low-order", -1)]
+        "key, flag, value",
+        [("n", "--n", 0), ("low_order", "--low-order", -1), ("low_order", "--low-order", 600)],
     )
     def test_bad_order_setting_is_a_data_error(
         self, tmp_path, capsys, command, source, key, flag, value

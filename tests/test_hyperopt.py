@@ -411,6 +411,33 @@ def test_overflowing_lags_are_a_named_error_without_numpy_warnings(method, scale
             fit_method(method, y, ExperimentConfig())
 
 
+@pytest.mark.parametrize("method", KERNEL_METHODS)
+def test_overflowing_lags_name_the_preliminary_b0_step(method):
+    # both kernel routes compute b0 first, so PEM names the same step as ME
+    y = TimeSeries(generate(benchmark_arma(), 500, 1).samples * 1e153)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PipelineError) as exc_info:
+            fit_method(method, y, ExperimentConfig())
+    assert exc_info.value.step == "preliminary_b0"
+
+
+@pytest.mark.parametrize("method", list(Method))
+def test_spike_before_the_residual_window_is_a_named_pem_error(method):
+    # every PEM target after the first n samples is 0, so the fitted predictor
+    # is 0 and so is every residual
+    y = np.zeros(500)
+    y[0] = 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if method in (Method.PEM_DI, Method.PEM_TC):
+            with pytest.raises(PipelineError, match="residuals are all zero") as exc_info:
+                fit_method(method, TimeSeries(y), ExperimentConfig())
+            assert exc_info.value.step == "kernel_pem"
+        else:
+            assert fit_method(method, TimeSeries(y), ExperimentConfig()).min_phase_verified
+
+
 @pytest.mark.parametrize(
     "method, scale",
     [(method, 10**150.5) for method in KERNEL_METHODS]
