@@ -42,20 +42,18 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "--methods",
         help="comma-separated subset of: me,me-di,me-tc,pem-di,pem-tc",
     )
-    parser.add_argument("--seed", type=int, dest="master_seed", help="master seed")
     parser.add_argument("--out", dest="output_path", help="output directory")
-    parser.add_argument("-N", "--n-samples", type=int, dest="N", help="series length")
     parser.add_argument("--n", type=int, help="model order for the kernel methods")
     parser.add_argument("--grid-size", type=int, help="frequency grid size")
-    parser.add_argument("--burn-in", type=int, help="simulation burn-in samples")
     parser.add_argument("--low-order", type=int, help="preliminary AR order")
-    parser.add_argument(
-        "--no-refine",
-        action="store_const",
-        const=False,
-        dest="refine",
-        help="keep the best grid point of the hyperparameter search, without refinement",
-    )
+
+
+def _add_simulation(parser: argparse.ArgumentParser) -> None:
+    """Flags of the commands that simulate their series: ``single`` and ``montecarlo``."""
+    _add_common(parser)
+    parser.add_argument("--seed", type=int, dest="master_seed", help="master seed")
+    parser.add_argument("-N", "--n-samples", type=int, dest="N", help="series length")
+    parser.add_argument("--burn-in", type=int, help="simulation burn-in samples")
     parser.add_argument(
         "--timings",
         action="store_const",
@@ -70,10 +68,10 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     single = sub.add_parser("single", help="one seeded trial on the benchmark process")
-    _add_common(single)
+    _add_simulation(single)
 
     monte = sub.add_parser("montecarlo", help="randomized-model Monte Carlo study")
-    _add_common(monte)
+    _add_simulation(monte)
     monte.add_argument("--runs", type=int, help="number of Monte Carlo runs")
     monte.add_argument("--pole-modulus", type=float, help="pole modulus of the random models")
     monte.add_argument("--zero-modulus", type=float, help="zero modulus of the random models")
@@ -130,6 +128,9 @@ def _load_config(args: argparse.Namespace, parser: _Parser) -> ExperimentConfig:
             values[key] = flag
     if getattr(args, "methods", None) is not None:
         values["methods"] = _parse_methods(args.methods, parser)
+    if args.command == "estimate":
+        # estimate_file checks n and low_order against the file's sample count
+        values["N"] = sys.maxsize
     return ExperimentConfig(**values)
 
 

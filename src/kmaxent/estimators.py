@@ -147,12 +147,21 @@ def yule_walker(cov: ToeplitzCovariance) -> PredictorPolynomial:
     """Classical maximum-entropy solve: a = Sigma^{-1} e_1, b = a / sqrt(a_0).
 
     a_0 > 0 is guaranteed by positive definiteness (it is a diagonal entry of
-    the inverse), so the normalization is always well defined.
+    the inverse); a solve that overflows is named by the finite check of b.
     """
     v = np.zeros(cov.order + 1)
     v[0] = 1.0
     a = _solve_spd(cov.matrix, v)
-    return PredictorPolynomial(a / np.sqrt(a[0]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return PredictorPolynomial(a / np.sqrt(a[0]))
+
+
+def _variance_lags(y: TimeSeries, n: int) -> np.ndarray:
+    """Lags r_0..r_n, checked for zero variance before any factorization."""
+    lags = estimate_lags(y, n)
+    if lags[0] == 0.0:
+        raise NotPositiveDefiniteError("series has zero variance (r_0 = 0)")
+    return lags
 
 
 def me_bic(y: TimeSeries, n_max: int) -> tuple[PredictorPolynomial, int]:
@@ -165,12 +174,12 @@ def me_bic(y: TimeSeries, n_max: int) -> tuple[PredictorPolynomial, int]:
     Cholesky factor of Sigma_{n_max}. One factorization therefore gives every
     order's variance, and Yule-Walker is solved once, at the chosen order.
     Ties are broken toward the smaller order. Raises NotPositiveDefiniteError
-    when Sigma_{n_max} cannot be factored.
+    when the series has zero variance or Sigma_{n_max} cannot be factored.
     """
     N = y.n_samples
     if not 1 <= n_max < N:
         raise InvalidOrderError(f"n_max={n_max} must satisfy 1 <= n_max < N={N}")
-    lags = estimate_lags(y, n_max)
+    lags = _variance_lags(y, n_max)
     L, _ = _cho_factor(build_toeplitz(lags).matrix)
     bic = 2.0 * N * np.log(np.diag(L)[1:]) + np.arange(1, n_max + 1) * np.log(N)
     n = int(np.argmin(bic)) + 1  # the first minimum: the smaller order wins ties
@@ -182,9 +191,10 @@ def preliminary_b0(y: TimeSeries, low_order: int = 4) -> float:
 
     Equals sqrt(a_0), the inverse innovation standard deviation of the
     low-order autoregressive model; used to linearize the log term of the
-    likelihood and to scale the whitened design.
+    likelihood and to scale the whitened design. Raises
+    NotPositiveDefiniteError when the series has zero variance.
     """
-    b = yule_walker(build_toeplitz(estimate_lags(y, low_order)))
+    b = yule_walker(build_toeplitz(_variance_lags(y, low_order)))
     return float(b.coeffs[0])
 
 

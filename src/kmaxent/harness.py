@@ -24,7 +24,7 @@ import numpy as np
 from .covariance import TimeSeries
 from .errors import DataParseError, InvalidDataError, InvalidOrderError, KmaxentError
 from .estimators import EstimateResult, Method, me_bic
-from .hyperopt import PipelineConfig, run_pem_pipeline, run_pipeline
+from .hyperopt import run_pem_pipeline, run_pipeline
 from .kernels import KernelFamily
 from .simulate import (
     ArmaModel,
@@ -69,7 +69,6 @@ class ExperimentConfig:
     grid_size: int = 2048
     burn_in: int = 2000
     low_order: int = 4
-    refine: bool = True
     include_timings: bool = False
     output_path: str | None = None
 
@@ -137,7 +136,7 @@ def fit_method(method: Method, y: TimeSeries, cfg: ExperimentConfig) -> Estimate
         return EstimateResult(b_hat, None, float(chosen + 1), Method.ME, chosen_n=chosen)
     route, family = method.value.split("-")
     pipeline = run_pipeline if route == "me" else run_pem_pipeline
-    return pipeline(y, cfg.n, KernelFamily(family), PipelineConfig(cfg.low_order, cfg.refine))
+    return pipeline(y, cfg.n, KernelFamily(family), cfg.low_order)
 
 
 def _record_from_result(

@@ -63,15 +63,11 @@ _BETA_TOL = 1e-7  # absolute tolerance of the bounded Brent search over beta
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Settings of the kernel-based pipelines (defaults match the experiments).
+    """The fixed search box of the kernel-based pipelines; nothing is settable.
 
-    Only the preliminary order and whether to refine the grid are settable.
-    The search box is fixed: the class constants below give its log10 lambda
-    and beta ranges and grid steps, 17 x 19 points.
+    The class constants give its log10 lambda and beta ranges and grid steps,
+    17 x 19 points.
     """
-
-    low_order: int = 4
-    refine: bool = True
 
     log10_lambda_min: ClassVar[float] = -4.0
     log10_lambda_max: ClassVar[float] = 4.0
@@ -262,21 +258,20 @@ def neg_log_marginal(obj: RidgeMarginal, eta: Hyperparameters) -> float:
     return obj.profile(np.array([eta.lam]), [eta.beta])[0][0, 0]
 
 
-def optimize_hyperparameters(obj, config: PipelineConfig = PipelineConfig()) -> HyperoptResult:
+def optimize_hyperparameters(obj) -> HyperoptResult:
     """Two-stage deterministic search for (lambda, beta) inside the fixed box.
 
     Stage 1 scores the 17 x 19 grid of :class:`PipelineConfig` in one
     ``obj.profile(lams, betas)`` call; for the ridge-marginal objectives that
     is one eigendecomposition of the reduced n x n form per beta and O(n) per
     lambda. The trace lists the grid first, ascending log10 lambda outer and
-    ascending beta inner. Stage 2 (skipped when ``config.refine`` is false)
-    adds each grid beta's polished best lambda, then runs a bounded Brent
-    search over the lambda-profiled likelihood between the grid neighbours of
-    the best beta, one ``obj.profile`` of a single beta per point. Every point
-    stays in the box, and the returned pair attains the minimum over the
-    trace, so the result is never worse than the best grid point. The ridge
-    objectives raise InvalidDataError from ``profile`` when a grid or
-    polished value is not finite.
+    ascending beta inner. Stage 2 adds each grid beta's polished best lambda,
+    then runs a bounded Brent search over the lambda-profiled likelihood
+    between the grid neighbours of the best beta, one ``obj.profile`` of a
+    single beta per point. Every point stays in the box, and the returned
+    pair attains the minimum over the trace, so the result is never worse
+    than the best grid point. The ridge objectives raise InvalidDataError
+    from ``profile`` when a grid or polished value is not finite.
     """
     values, lam_star, value_star = obj.profile(_LAMS, _BETAS)
     trace = [
@@ -284,20 +279,18 @@ def optimize_hyperparameters(obj, config: PipelineConfig = PipelineConfig()) -> 
         for lam, row in zip(_LAMS.tolist(), values.tolist())
         for beta, value in zip(_BETAS, row)
     ]
+    trace.extend(zip(lam_star.tolist(), _BETAS, value_star.tolist()))
+    j = int(np.argmin(value_star))
+    lo, hi = _BETAS[max(j - 1, 0)], _BETAS[min(j + 1, len(_BETAS) - 1)]
 
-    if config.refine:
-        trace.extend(zip(lam_star.tolist(), _BETAS, value_star.tolist()))
-        j = int(np.argmin(value_star))
-        lo, hi = _BETAS[max(j - 1, 0)], _BETAS[min(j + 1, len(_BETAS) - 1)]
+    def profiled(beta: float) -> float:
+        _, lam, value = obj.profile(_LAMS, [float(beta)])
+        trace.append((float(lam[0]), float(beta), float(value[0])))
+        return trace[-1][2]
 
-        def profiled(beta: float) -> float:
-            _, lam, value = obj.profile(_LAMS, [float(beta)])
-            trace.append((float(lam[0]), float(beta), float(value[0])))
-            return trace[-1][2]
-
-        scipy.optimize.minimize_scalar(
-            profiled, bounds=(lo, hi), method="bounded", options={"xatol": _BETA_TOL}
-        )
+    scipy.optimize.minimize_scalar(
+        profiled, bounds=(lo, hi), method="bounded", options={"xatol": _BETA_TOL}
+    )
 
     lam_best, beta_best, value_best = min(trace, key=lambda entry: entry[2])
     return HyperoptResult(
@@ -316,7 +309,7 @@ def _step(name: str, fn, *args, **kwargs):
         raise PipelineError(name, str(exc)) from exc
 
 
-def _fit(route: str, family: KernelFamily, n: int, objective, solve, config, jitter=0.0):
+def _fit(route: str, family: KernelFamily, n: int, objective, solve, jitter=0.0):
     """Shared tail of both pipelines: search, coefficient solve, degrees of
     freedom and the result tagged ``<route>-<family>``, whose construction
     runs the root check.
@@ -324,7 +317,7 @@ def _fit(route: str, family: KernelFamily, n: int, objective, solve, config, jit
     ``solve(spec, eta)`` is the coefficient solve of ``route`` ("me" or
     "pem"); failures name the step ``hyperparameters`` or ``kernel_<route>``.
     """
-    hyper = _step("hyperparameters", optimize_hyperparameters, objective, config)
+    hyper = _step("hyperparameters", optimize_hyperparameters, objective)
     spec = KernelSpec(family, hyper.eta_hat.beta, n + 1)
     b_hat = _step(f"kernel_{route}", solve, spec, hyper.eta_hat)
     return EstimateResult(
@@ -337,26 +330,23 @@ def _fit(route: str, family: KernelFamily, n: int, objective, solve, config, jit
 
 
 def run_pipeline(
-    y: TimeSeries,
-    n: int,
-    kernel_family: KernelFamily,
-    config: PipelineConfig = PipelineConfig(),
+    y: TimeSeries, n: int, kernel_family: KernelFamily, low_order: int = 4
 ) -> EstimateResult:
     """Full kernel-based maximum-entropy estimation.
 
-    Executes, in order: preliminary leading-coefficient estimate, covariance
-    lags and Toeplitz assembly at order ``n``, Cholesky factorization (with
-    capped jitter), whitened design construction, marginal-likelihood
-    hyperparameter search, and the closed-form coefficient solve at the
-    selected hyperparameters; degrees of freedom (from the search's reduced
-    form) and the minimum-phase root check are evaluated on the result.
-    Deterministic given its inputs.
+    Executes, in order: preliminary leading-coefficient estimate (Yule-Walker
+    at order ``low_order``), covariance lags and Toeplitz assembly at order
+    ``n``, Cholesky factorization (with capped jitter), whitened design
+    construction, marginal-likelihood hyperparameter search, and the
+    closed-form coefficient solve at the selected hyperparameters; degrees of
+    freedom (from the search's reduced form) and the minimum-phase root check
+    are evaluated on the result. Deterministic given its inputs.
     """
     N = y.n_samples
     if not 0 < n < N:
         raise InvalidOrderError(f"order n={n} must satisfy 0 < n < N={N}")
     kernel_family = KernelFamily(kernel_family)
-    b0 = _step("preliminary_b0", preliminary_b0, y, config.low_order)
+    b0 = _step("preliminary_b0", preliminary_b0, y, low_order)
     lags = _step("estimate_lags", estimate_lags, y, n)
     cov = _step("build_toeplitz", build_toeplitz, lags)
     factor = _step("cholesky", cholesky, cov)
@@ -369,14 +359,11 @@ def run_pipeline(
     design = _step("whittle_design", build_whittle_design, factor, b0, N, n)
     objective = _step("hyperparameters", RidgeMarginal.whittle, design, cov, kernel_family)
     solve = partial(kernel_me, design, cov)
-    return _fit("me", kernel_family, n, objective, solve, config, factor.jitter)
+    return _fit("me", kernel_family, n, objective, solve, factor.jitter)
 
 
 def run_pem_pipeline(
-    y: TimeSeries,
-    n: int,
-    kernel_family: KernelFamily,
-    config: PipelineConfig = PipelineConfig(),
+    y: TimeSeries, n: int, kernel_family: KernelFamily, low_order: int = 4
 ) -> EstimateResult:
     """Kernel-regularized predictor baseline with tuned hyperparameters.
 
@@ -389,8 +376,8 @@ def run_pem_pipeline(
     InvalidOrderError unless N > 2n >= 2.
     """
     kernel_family = KernelFamily(kernel_family)
-    b0 = _step("preliminary_b0", preliminary_b0, y, config.low_order)
+    b0 = _step("preliminary_b0", preliminary_b0, y, low_order)
     gram = lagged_gram(y, n)
     moments = gram[1:, 1:], gram[1:, 0], gram[0, 0]
     objective = _step("hyperparameters", RidgeMarginal.regression, *moments, b0, kernel_family)
-    return _fit("pem", kernel_family, n, objective, partial(kernel_pem, y, gram), config)
+    return _fit("pem", kernel_family, n, objective, partial(kernel_pem, y, gram))

@@ -2,9 +2,12 @@ import csv
 import dataclasses
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kmaxent.cli as cli
 import kmaxent.harness as harness
@@ -209,6 +212,44 @@ class TestMonteCarlo:
             truth = SpectrumModel(models[record.run_index - 1])
             expected = reconstruction_error(SpectrumModel(b_hat), truth, cfg.grid_size)
             assert record.reconstruction_error == expected
+
+
+@st.composite
+def finite_series_and_config(draw):
+    """A finite series of 3-300 samples at scale 10^k, |k| <= 300, and valid orders."""
+    N = draw(st.integers(3, 300))
+    kind = draw(st.sampled_from(["white", "arma", "constant", "spike", "zeros"]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    if kind == "white":
+        base = np.random.default_rng(seed).standard_normal(N)
+    elif kind == "arma":
+        base = generate(random_arma(seed), N, seed).samples
+    elif kind == "spike":
+        base = np.zeros(N)
+        base[draw(st.integers(0, N - 1))] = draw(st.sampled_from([-1.0, 1.0, 3.5]))
+    else:
+        base = np.full(N, 0.0 if kind == "zeros" else draw(st.floats(-10.0, 10.0)))
+    samples = base * 10.0 ** draw(st.integers(-300, 300))
+    n = draw(st.integers(1, min(N - 1, 50)))
+    low_order = draw(st.integers(0, min(N - 1, 5)))
+    return samples, ExperimentConfig(N=N, n=n, low_order=low_order)
+
+
+@given(finite_series_and_config())
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_every_finite_series_fits_or_raises_a_named_error(case):
+    # each method either returns a result, minimum phase on the ME routes,
+    # or raises a KmaxentError, and numpy never warns on the way
+    samples, cfg = case
+    for method in Method:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                result = fit_method(method, TimeSeries(samples), cfg)
+            except KmaxentError:
+                continue
+        if not method.value.startswith("pem"):
+            assert result.min_phase_verified, (method, result.max_root_modulus)
 
 
 class TestEstimateFile:
@@ -461,7 +502,7 @@ class TestCli:
         values = {
             "methods": ["me-tc"], "N": 120, "n": 6, "runs": 2, "master_seed": 9,
             "pole_modulus": 0.9, "zero_modulus": 0.7, "pairs": 2, "max_phase_gap": 0.1,
-            "grid_size": 64, "burn_in": 100, "low_order": 2, "refine": False,
+            "grid_size": 64, "burn_in": 100, "low_order": 2,
             "include_timings": True, "output_path": str(tmp_path / "out"),
         }
         assert set(values) == {f.name for f in dataclasses.fields(ExperimentConfig)}
@@ -511,7 +552,9 @@ class TestCli:
         self, tmp_path, capsys, command, source, key, flag, value
     ):
         # a bad setting is a data error, not a failure of every record
-        args = [command, "--methods", "me,me-tc", "-N", "200", "--grid-size", "32"]
+        args = [command, "--methods", "me,me-tc", "--grid-size", "32"]
+        if command != "estimate":
+            args += ["-N", "200"]
         if command == "montecarlo":
             args += ["--runs", "2"]
         if command == "estimate":
@@ -571,3 +614,38 @@ class TestCli:
         document = json.loads((tmp_path / "out" / "result.json").read_text())
         assert document["n_samples"] == 150
         assert "me" in document["methods"]
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_estimate_checks_the_order_against_the_file_length(self, tmp_path, capsys, source):
+        # estimate's N is its file's sample count, not the default or a
+        # config-file N
+        data = write_bench_csv(tmp_path / "data.csv", generate(benchmark_arma(), 20_000, 2).samples)
+        args = ["estimate", str(data), "--methods", "me", "--grid-size", "256"]
+        if source == "flag":
+            args += ["--n", "600"]
+        else:
+            config = tmp_path / "cfg.json"
+            config.write_text('{"N": 500, "n": 600, "low_order": 550}')
+            args += ["--config", str(config)]
+        assert cli.main(args + ["--out", str(tmp_path / "out")]) == 0
+        document = json.loads((tmp_path / "out" / "result.json").read_text())
+        assert document["n_samples"] == 20_000 and document["n"] == 600
+        assert document["methods"]["me"]["error"] is None
+        capsys.readouterr()
+        assert cli.main(args + ["--n", "20000"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("kmaxent: ") and "N=20000" in err
+
+    @pytest.mark.parametrize(
+        "removed",
+        ["single --no-refine", "montecarlo --no-refine", "estimate --no-refine",
+         "estimate --seed 1", "estimate -N 100", "estimate --n-samples 100",
+         "estimate --burn-in 10", "estimate --timings"],
+    )
+    def test_removed_flag_is_a_usage_error(self, tmp_path, capsys, removed):
+        command, *flag = removed.split()
+        args = [command] + ([str(tmp_path / "data.csv")] if command == "estimate" else [])
+        with pytest.raises(SystemExit) as exc_info:
+            cli.main(args + flag)
+        assert exc_info.value.code == 1
+        assert "unrecognized arguments" in capsys.readouterr().err

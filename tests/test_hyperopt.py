@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 import warnings
 
@@ -6,7 +7,12 @@ import pytest
 
 from kmaxent.covariance import TimeSeries, build_toeplitz, cholesky, estimate_lags
 from kmaxent.diagnostics import degrees_of_freedom, shrinkage_df
-from kmaxent.errors import InvalidOrderError, KmaxentError, PipelineError
+from kmaxent.errors import (
+    InvalidOrderError,
+    KmaxentError,
+    NotPositiveDefiniteError,
+    PipelineError,
+)
 from kmaxent.estimators import Method, build_whittle_design, lagged_gram, preliminary_b0
 from kmaxent.harness import ExperimentConfig, estimate_file, fit_method
 from kmaxent.hyperopt import (
@@ -247,13 +253,13 @@ class _Bowl:
 
 class TestOptimizeHyperparameters:
     def test_quadratic_bowl_recovers_optimum(self):
-        result = optimize_hyperparameters(_Bowl(), PipelineConfig())
+        result = optimize_hyperparameters(_Bowl())
         assert abs(result.eta_hat.lam - 1.0) <= 1e-4
         assert abs(result.eta_hat.beta - 0.5) <= 1e-4
         assert result.objective_value <= 1e-8
 
     def test_trace_starts_with_grid_in_lambda_outer_beta_inner_order(self):
-        result = optimize_hyperparameters(_Bowl(), PipelineConfig())
+        result = optimize_hyperparameters(_Bowl())
         expected = [
             (10.0**lg, beta) for lg in np.linspace(-4, 4, 17) for beta in np.linspace(0.05, 0.95, 19)
         ]
@@ -267,8 +273,7 @@ class TestOptimizeHyperparameters:
     def test_never_worse_than_best_grid_point(self, benchmark_setup):
         _, cov, _, design = benchmark_setup
         obj = RidgeMarginal.whittle(design, cov, KernelFamily.TC)
-        config = PipelineConfig()
-        result = optimize_hyperparameters(obj, config)
+        result = optimize_hyperparameters(obj)
         # independent recomputation of every stage-1 grid value
         grid_best = min(
             cholesky_neg_log_marginal(obj, Hyperparameters(10.0**lg, float(beta)))
@@ -280,7 +285,7 @@ class TestOptimizeHyperparameters:
     def test_eta_attains_trace_minimum(self, benchmark_setup):
         _, cov, _, design = benchmark_setup
         obj = RidgeMarginal.whittle(design, cov, KernelFamily.DI)
-        result = optimize_hyperparameters(obj, PipelineConfig())
+        result = optimize_hyperparameters(obj)
         values = [entry[2] for entry in result.trace]
         assert result.objective_value == min(values)
         hit = [e for e in result.trace if e[2] == result.objective_value][0]
@@ -422,6 +427,37 @@ def test_overflowing_lags_name_the_preliminary_b0_step(method):
     assert exc_info.value.step == "preliminary_b0"
 
 
+@pytest.mark.parametrize("scale", [0.0, 1e-200, 1e-300])
+@pytest.mark.parametrize("method", list(Method))
+def test_zero_variance_is_a_named_error_before_any_factorization(method, scale):
+    # an all-zero series, or one whose squares underflow, has r_0 = 0: the
+    # error names it before LAPACK can fail on a leading minor
+    y = np.zeros(500) if scale == 0.0 else generate(benchmark_arma(), 500, 1).samples * scale
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(KmaxentError, match="zero variance") as exc_info:
+            fit_method(method, TimeSeries(y), ExperimentConfig())
+    error = exc_info.value
+    if method is not Method.ME:
+        assert error.step == "preliminary_b0"
+        error = error.__cause__
+    assert isinstance(error, NotPositiveDefiniteError)
+    assert "leading minor" not in str(error)
+
+
+@pytest.mark.parametrize("method", list(Method))
+def test_overflowing_yule_walker_solve_is_a_named_error_without_numpy_warnings(method):
+    # the order-1 solve overflows to inf; the finite check of the coefficients
+    # names it, and a / sqrt(a_0) must not warn on inf / inf first
+    y = TimeSeries(np.random.default_rng(3).standard_normal(10) * 1e-160)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(KmaxentError, match="coefficients contain non-finite values") as info:
+            fit_method(method, y, ExperimentConfig(N=10, n=1, low_order=1))
+    if method is not Method.ME:
+        assert info.value.step == "preliminary_b0"
+
+
 @pytest.mark.parametrize("method", list(Method))
 def test_spike_before_the_residual_window_is_a_named_pem_error(method):
     # every PEM target after the first n samples is 0, so the fitted predictor
@@ -483,12 +519,12 @@ def test_white_noise_hyperparameters_stay_in_the_box_as_plain_floats():
 class TestBoxEdge:
     def test_spike_optimum_sits_on_the_beta_edge(self):
         obj = whittle_objective(unit_spike(), 20, KernelFamily.TC)
-        result = optimize_hyperparameters(obj, PipelineConfig())
+        result = optimize_hyperparameters(obj)
         assert result.eta_hat.beta == 0.05
         assert result.beta_on_edge
 
     def test_interior_optimum_is_off_both_edges(self):
-        result = optimize_hyperparameters(_Bowl(), PipelineConfig())
+        result = optimize_hyperparameters(_Bowl())
         assert not result.lambda_on_edge
         assert not result.beta_on_edge
 
@@ -501,15 +537,27 @@ class TestBoxEdge:
             assert "on_edge" not in written.read_text(), written.name
 
 
-def test_no_refine_traces_exactly_the_grid(benchmark_setup):
+def test_trace_starts_with_exactly_the_profiled_grid(benchmark_setup):
     _, cov, _, design = benchmark_setup
     obj = RidgeMarginal.whittle(design, cov, KernelFamily.TC)
-    result = optimize_hyperparameters(obj, PipelineConfig(refine=False))
+    result = optimize_hyperparameters(obj)
     expected = obj.profile(GRID_LAMS, GRID_BETAS)[0]
-    assert len(result.trace) == 323
+    grid = result.trace[:323]
     np.testing.assert_allclose(
-        [e[:2] for e in result.trace],
+        [e[:2] for e in grid],
         [(lam, beta) for lam in GRID_LAMS for beta in GRID_BETAS],
         rtol=1e-15,
     )
-    assert [e[2] for e in result.trace] == expected.ravel().tolist()
+    assert [e[2] for e in grid] == expected.ravel().tolist()
+
+
+def test_pipeline_config_is_the_fixed_box_with_no_settable_field():
+    config = PipelineConfig()
+    assert dataclasses.fields(config) == ()
+    box = {
+        "log10_lambda_min": -4.0, "log10_lambda_max": 4.0, "log10_lambda_step": 0.5,
+        "beta_min": 0.05, "beta_max": 0.95, "beta_step": 0.05,
+    }
+    assert {name: getattr(config, name) for name in box} == box
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        config.low_order = 2
