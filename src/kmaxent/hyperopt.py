@@ -18,17 +18,19 @@ One eigendecomposition of the reduced n x n form per beta gives the whole
 lambda profile at O(n) per lambda, so each beta's best lambda is polished by
 safeguarded Newton steps on the closed-form derivatives, and a bounded Brent
 search (R. Brent, 1973) over beta follows, one eigendecomposition per beta it
-tries (T. Chen and L. Ljung, Automatica 2013).
+tries (T. Chen and L. Ljung, Automatica 2013). That search lives in this
+module (:func:`_bounded_brent`, a port of scipy's bounded scalar minimizer),
+so the betas it tries do not move with the installed scipy.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 from typing import ClassVar
 
 import numpy as np
-import scipy.optimize
 
 from .covariance import TimeSeries, ToeplitzCovariance, build_toeplitz, cholesky, estimate_lags
 from .diagnostics import shrinkage_df
@@ -258,6 +260,79 @@ def neg_log_marginal(obj: RidgeMarginal, eta: Hyperparameters) -> float:
     return obj.profile(np.array([eta.lam]), [eta.beta])[0][0, 0]
 
 
+def _bounded_brent(func, lo: float, hi: float, xatol: float) -> None:
+    """Minimize ``func`` on [lo, hi] by Brent's bounded method (R. Brent,
+    1973): golden-section steps with parabolic interpolation, stopping when
+    the bracket around the best point is within about xatol of it.
+
+    A line-for-line port of scipy's ``_minimize_scalar_bounded``, with its
+    variable names, so it calls ``func`` at the same points in the same
+    order, at most 500 times (scipy's default). Callers read the evaluations
+    ``func`` records; nothing is returned.
+    """
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    a, b = lo, hi
+    fulc = a + golden_mean * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    fx = func(xf)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:  # try a parabolic fit
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 if xm >= xf else -tol1
+            else:
+                golden = True
+        if golden:
+            e = (a if xf >= xm else b) - xf
+            rat = golden_mean * e
+        x = xf + (1.0 if rat >= 0.0 else -1.0) * max(abs(rat), tol1)
+        fu = func(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= 500:
+            break
+
+
 def optimize_hyperparameters(obj) -> HyperoptResult:
     """Two-stage deterministic search for (lambda, beta) inside the fixed box.
 
@@ -288,9 +363,7 @@ def optimize_hyperparameters(obj) -> HyperoptResult:
         trace.append((float(lam[0]), float(beta), float(value[0])))
         return trace[-1][2]
 
-    scipy.optimize.minimize_scalar(
-        profiled, bounds=(lo, hi), method="bounded", options={"xatol": _BETA_TOL}
-    )
+    _bounded_brent(profiled, lo, hi, _BETA_TOL)
 
     lam_best, beta_best, value_best = min(trace, key=lambda entry: entry[2])
     return HyperoptResult(

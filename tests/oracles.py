@@ -1,4 +1,6 @@
-"""Dense reference implementations that the structured library code is checked against."""
+"""Dense reference implementations that the structured library code is checked
+against, and the scipy routines the library's own ports reproduce. This is the
+only module that imports ``scipy.optimize``."""
 
 import csv
 from dataclasses import dataclass
@@ -6,6 +8,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.linalg
+import scipy.optimize
 
 from kmaxent.covariance import TimeSeries, ToeplitzCovariance, build_toeplitz, estimate_lags
 from kmaxent.errors import DataParseError
@@ -138,6 +141,19 @@ def direct_spectrum(coeffs: np.ndarray, grid_size: int) -> np.ndarray:
         return 1.0 / np.abs(response) ** 2
 
 
+def direct_form_filter(numerator: np.ndarray, denominator: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """y_t = sum_k b_k x_{t-k} - sum_{k>=1} a_k y_{t-k} from rest (monic a, equal
+    lengths), one sample at a time in long double, rounded to float at the end."""
+    b, a = numerator.astype(np.longdouble), denominator.astype(np.longdouble)
+    x = x.astype(np.longdouble)
+    p = a.size - 1
+    y = np.zeros(x.size + p, dtype=np.longdouble)  # p leading zeros: the filter starts at rest
+    xp = np.concatenate((np.zeros(p, dtype=np.longdouble), x))
+    for t in range(x.size):
+        y[t + p] = b @ xp[t : t + p + 1][::-1] - a[1:] @ y[t : t + p][::-1]
+    return y[p:].astype(float)
+
+
 def read_sample_column(path: str) -> np.ndarray:
     """The CSV sample reader as a plain row loop: csv.reader over the whole file."""
     try:
@@ -161,3 +177,21 @@ def read_sample_column(path: str) -> np.ndarray:
     if not values:
         raise DataParseError(f"no samples found in '{path}'")
     return np.array(values)
+
+
+def scipy_bounded_brent(func, lo: float, hi: float, xatol: float) -> None:
+    """scipy's bounded scalar minimizer, called as the search called it before
+    ``hyperopt._bounded_brent`` ported it; same signature as the port."""
+    scipy.optimize.minimize_scalar(func, bounds=(lo, hi), method="bounded", options={"xatol": xatol})
+
+
+def brent_evaluations(search, func, lo: float, hi: float, xatol: float) -> list[tuple[float, float]]:
+    """The (x, func(x)) pairs that ``search(func, lo, hi, xatol)`` evaluates, in order."""
+    calls: list[tuple[float, float]] = []
+
+    def record(x):
+        calls.append((float(x), float(func(float(x)))))
+        return calls[-1][1]
+
+    search(record, lo, hi, xatol)
+    return calls

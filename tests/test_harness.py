@@ -1,8 +1,12 @@
 import csv
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -453,6 +457,20 @@ class TestReadSampleColumn:
 
 
 class TestCli:
+    def test_import_loads_only_dense_linear_algebra_from_scipy(self):
+        # scipy.signal alone pulls in about 530 scipy modules, stats and
+        # optimize among them, and more than doubles the start-up time
+        src = str(Path(cli.__file__).parents[1])
+        code = (
+            "import sys, kmaxent.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[:2] in "
+            "(['scipy', 'signal'], ['scipy', 'optimize'], ['scipy', 'stats'])))"
+        )
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "[]"
+
     def test_usage_error_exit_code(self, capsys):
         with pytest.raises(SystemExit) as exc_info:
             cli.main(["montecarlo", "--methods", "bogus"])

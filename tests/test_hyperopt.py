@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from kmaxent import hyperopt
 from kmaxent.covariance import TimeSeries, build_toeplitz, cholesky, estimate_lags
 from kmaxent.diagnostics import degrees_of_freedom, shrinkage_df
 from kmaxent.errors import (
@@ -27,9 +28,11 @@ from kmaxent.kernels import Hyperparameters, KernelFamily, KernelSpec
 from kmaxent.simulate import benchmark_arma, generate
 from oracles import (
     MarginalObjective,
+    brent_evaluations,
     cholesky_neg_log_marginal,
     kernel_matrix,
     lagged_design,
+    scipy_bounded_brent,
     trailing_block_root,
 )
 
@@ -293,6 +296,57 @@ class TestOptimizeHyperparameters:
 
 
 KERNEL_METHODS = [Method.ME_DI, Method.ME_TC, Method.PEM_DI, Method.PEM_TC]
+
+
+def kernel_objective(method, benchmark_setup):
+    """The search objective of a kernel method on the benchmark fixture, n = 50."""
+    y, cov, _, design = benchmark_setup
+    route, family = method.value.split("-")
+    if route == "me":
+        return RidgeMarginal.whittle(design, cov, KernelFamily(family))
+    gram = lagged_gram(y, 50)
+    return RidgeMarginal.regression(
+        gram[1:, 1:], gram[1:, 0], gram[0, 0], preliminary_b0(y, 4), KernelFamily(family)
+    )
+
+
+class TestBoundedBrent:
+    """The in-package bounded Brent search evaluates exactly the points scipy's does."""
+
+    FUNCTIONS = {
+        "bowl": (lambda x: (x - 0.37) ** 2, 0.05, 0.95),
+        "min_at_lower_bound": (lambda x: x, 0.05, 0.95),
+        "min_at_upper_bound": (lambda x: -x, 0.05, 0.95),
+        "constant": (lambda x: 1.0, 0.05, 0.95),
+        "two_minima": (lambda x: (x - 0.2) ** 2 * (x - 0.8) ** 2 + 0.01 * x, 0.0, 1.0),
+        "narrow_bracket": (lambda x: np.cos(40.0 * x), 0.45, 0.55),
+    }
+
+    @pytest.mark.parametrize("name", list(FUNCTIONS))
+    def test_same_evaluations_as_scipy(self, name):
+        func, lo, hi = self.FUNCTIONS[name]
+        for xatol in (1e-7, 1e-3):
+            port = brent_evaluations(hyperopt._bounded_brent, func, lo, hi, xatol)
+            assert port == brent_evaluations(scipy_bounded_brent, func, lo, hi, xatol)
+            assert all(lo <= x <= hi for x, _ in port)
+
+    @pytest.mark.parametrize("method", KERNEL_METHODS)
+    def test_same_evaluations_as_scipy_on_the_profiled_likelihood(self, method, benchmark_setup):
+        obj = kernel_objective(method, benchmark_setup)
+
+        def profiled(beta):
+            return float(obj.profile(hyperopt._LAMS, [beta])[2][0])
+
+        port = brent_evaluations(hyperopt._bounded_brent, profiled, 0.05, 0.95, hyperopt._BETA_TOL)
+        assert len(port) > 5
+        assert port == brent_evaluations(scipy_bounded_brent, profiled, 0.05, 0.95, hyperopt._BETA_TOL)
+
+    @pytest.mark.parametrize("method", KERNEL_METHODS)
+    def test_search_trace_equals_the_scipy_search_trace(self, method, benchmark_setup, monkeypatch):
+        obj = kernel_objective(method, benchmark_setup)
+        result = optimize_hyperparameters(obj)
+        monkeypatch.setattr(hyperopt, "_bounded_brent", scipy_bounded_brent)
+        assert result == optimize_hyperparameters(obj)
 
 
 class TestRunPipeline:

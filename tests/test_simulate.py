@@ -1,6 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.signal
 
+from kmaxent import simulate
 from kmaxent.errors import InvalidDataError, InvalidModelError
 from kmaxent.estimators import PredictorPolynomial
 from kmaxent.simulate import (
@@ -13,11 +17,21 @@ from kmaxent.simulate import (
     random_arma,
     reconstruction_error,
 )
-from oracles import direct_spectrum
+from oracles import direct_form_filter, direct_spectrum
 
 
 def white_noise_model(sigma):
     return ArmaModel(zeros=(), poles=(), gain=sigma)
+
+
+def lfilter_series(model, N, seed, burn_in):
+    """What ``generate`` returns, filtered by scipy's direct-form recursion."""
+    noise = np.random.default_rng(seed).standard_normal(N + burn_in)
+    return scipy.signal.lfilter(model.numerator(), model.denominator(), noise)[burn_in:]
+
+
+def max_relative_gap(got, ref):
+    return np.max(np.abs(got - ref)) / np.max(np.abs(ref))
 
 
 class TestArmaModel:
@@ -70,6 +84,69 @@ class TestGenerate:
             generate(benchmark_arma(), 0, 1)
         with pytest.raises(InvalidDataError):
             generate(benchmark_arma(), 10, 1, burn_in=-1)
+
+
+class TestGenerateFilter:
+    """The blocked banded solve reproduces scipy's lfilter to rounding."""
+
+    BLOCK = simulate._BLOCK
+
+    @pytest.mark.parametrize("model", [benchmark_arma(), random_arma(1), random_arma(2), random_arma(3)])
+    def test_matches_lfilter_at_a_million_samples(self, model):
+        y = generate(model, 10**6 - 2000, 5, burn_in=2000).samples
+        assert max_relative_gap(y, lfilter_series(model, 10**6 - 2000, 5, 2000)) <= 1e-12
+
+    def test_white_noise_is_bitwise_lfilter(self):
+        model = white_noise_model(1.7)
+        y = generate(model, 5000, 11, burn_in=100).samples
+        assert np.array_equal(y, lfilter_series(model, 5000, 11, 100))
+
+    @pytest.mark.parametrize(
+        # below p = 6, around one and two block edges, and a last block
+        # shorter than p
+        "length", [1, 2, 5, BLOCK - 1, BLOCK, BLOCK + 1, BLOCK + 3, 2 * BLOCK + 1]
+    )
+    def test_matches_lfilter_at_every_length(self, length):
+        model = random_arma(1)
+        noise = np.random.default_rng(9).standard_normal(length)
+        y = simulate._arma_filter(model.numerator(), model.denominator(), noise)
+        ref = scipy.signal.lfilter(model.numerator(), model.denominator(), noise)
+        assert y.shape == ref.shape
+        assert max_relative_gap(y, ref) <= 1e-12
+
+    @pytest.mark.parametrize("block", [1, 4, 6, 7])
+    def test_blocks_shorter_than_the_order(self, block, monkeypatch):
+        # with p = 6 a block's reach-back spans several earlier blocks, or
+        # starts before the first sample
+        monkeypatch.setattr(simulate, "_BLOCK", block)
+        model = random_arma(1)
+        noise = np.random.default_rng(9).standard_normal(40)
+        y = simulate._arma_filter(model.numerator(), model.denominator(), noise)
+        ref = scipy.signal.lfilter(model.numerator(), model.denominator(), noise)
+        assert max_relative_gap(y, ref) <= 1e-12
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).nmant <= 52, reason="long double is double here")
+    def test_clustered_poles_match_an_extended_precision_recursion(self):
+        # random_arma(4) has four poles within 0.18 rad of -1, so rounding
+        # errors grow along the recursion; lfilter is 9e-13 away from the
+        # extended-precision reference at this length, the banded solve 4e-13
+        model = random_arma(4)
+        noise = np.random.default_rng(9).standard_normal(self.BLOCK + 3)
+        y = simulate._arma_filter(model.numerator(), model.denominator(), noise)
+        ref = direct_form_filter(model.numerator(), model.denominator(), noise)
+        assert max_relative_gap(y, ref) <= 1e-12
+
+    def test_memory_is_bounded(self):
+        # the 10^6-sample series is 8 MB; the noise, the filter output and the
+        # TimeSeries copy are the only arrays of that size
+        tracemalloc.start()
+        try:
+            y = generate(benchmark_arma(), 10**6 - 2000, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert y.n_samples == 10**6 - 2000
+        assert peak < 3 * 8e6
 
 
 class TestRandomArma:
