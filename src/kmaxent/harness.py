@@ -14,7 +14,10 @@ from __future__ import annotations
 import csv
 import itertools
 import json
+import os
 import time
+import urllib.parse
+import warnings
 from array import array
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -275,7 +278,7 @@ def summarize(records: list[TrialRecord], cfg: ExperimentConfig) -> dict:
     }
 
 
-def estimate_file(cfg: ExperimentConfig, input_path: str) -> dict:
+def estimate_file(cfg: ExperimentConfig, input_path: str | os.PathLike) -> dict:
     """Run the requested methods on a one-column CSV of samples.
 
     The file is read as UTF-8 and holds one value per CSV record; one
@@ -284,9 +287,12 @@ def estimate_file(cfg: ExperimentConfig, input_path: str) -> dict:
     skipped. Row 1 may be the header ``y`` (any case).
     Any other non-numeric row, a record with more than one non-empty cell,
     or a file that is not UTF-8 is a ``DataParseError``; rows are numbered
-    per CSV record, so a quoted field spanning lines is one row. Writes
-    ``result.json`` and ``spectrum.csv`` under ``cfg.output_path`` when set;
-    returns the result document.
+    per CSV record, so a quoted field spanning lines is one row. The bulk of
+    a regular file is read by numpy's C text reader; a row it does not take
+    sends the whole file through this row rule, so values, messages and row
+    numbers do not depend on the route. A pipe is read once, by the row
+    rule. Writes ``result.json`` and ``spectrum.csv`` under
+    ``cfg.output_path`` when set; returns the result document.
     """
     y = TimeSeries(_read_sample_column(input_path))
     adjusted = replace(cfg, N=y.n_samples)
@@ -319,7 +325,69 @@ def estimate_file(cfg: ExperimentConfig, input_path: str) -> dict:
     return document
 
 
-def _read_sample_column(path: str) -> np.ndarray:
+def _read_sample_column(path: str | os.PathLike) -> np.ndarray:
+    # numpy's C reader takes the bulk of the file. Whatever it does not
+    # take, and whatever it would read differently, goes back to the row
+    # rule from row 1, so values, messages and row numbers are the row
+    # rule's: both routes convert a number with PyOS_string_to_double.
+    path = os.fsdecode(path)
+    values = _read_in_bulk(path)
+    return _read_rows(path) if values is None else values
+
+
+# np.loadtxt opens a path string with np.lib._datasource.open, which
+# decompresses these suffixes and fetches "scheme://netloc" strings as URLs.
+_DATASOURCE_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
+
+
+def _read_in_bulk(path: str) -> np.ndarray | None:
+    """The samples, or None when the row rule must read the file.
+
+    Row 1 is read here: a byte-order mark is dropped, and a blank row, the
+    header ``y`` or a plain value lets rows 2 and on go to one
+    ``np.loadtxt``. A quote or a comma in row 1, a row that loadtxt rejects
+    or warns about, a second column and an empty remainder all return None.
+    loadtxt gets the path, not the open file: from a file object it reads
+    line by line at Python speed. So the file is opened twice, and only a
+    regular file reads the same both times: a pipe or FIFO loses what the
+    first open buffered, so it is left to the row rule, unopened.
+    Whitespace separates loadtxt's cells, so a row of whitespace is a blank
+    row to it as to the row rule, and a comma fails its conversion.
+    """
+    url = urllib.parse.urlparse(path)
+    if path.lower().endswith(_DATASOURCE_SUFFIXES) or (url.scheme and url.netloc):
+        return None
+    if not os.path.isfile(path):
+        return None
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            first = fh.readline().removeprefix("\ufeff")
+    except (OSError, UnicodeDecodeError):
+        return None
+    if '"' in first or "," in first:
+        return None
+    head: list[float] = []
+    if first.strip().lower() not in ("", "y"):
+        try:
+            head.append(float(first))
+        except ValueError:
+            return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rest = np.loadtxt(
+                path, skiprows=1, dtype=float, comments=None, delimiter=None,
+                quotechar=None, ndmin=2, encoding="utf-8",
+            )
+    except (ValueError, Warning):
+        return None
+    if rest.shape[1] != 1 or rest.size == 0:
+        return None
+    return np.concatenate((head, rest[:, 0])) if head else rest[:, 0]
+
+
+def _read_rows(path: str) -> np.ndarray:
+    """The row rule that ``estimate_file`` documents, one line at a time."""
     # A line holding neither a comma nor a quote is one CSV record with one
     # cell, and float() strips the same whitespace as str.strip(), so
     # float(line) is the row rule's value. Other lines go through the row
@@ -399,10 +467,10 @@ def write_records(path, records: list[TrialRecord], include_timings: bool = Fals
 
 
 def _write_spectra(path, grid_size: int, columns: dict[str, np.ndarray]) -> None:
-    grid = frequency_grid(grid_size)
+    # each column is formatted once, with the repr that _fmt gives a float
     names = list(columns)
+    cells = [frequency_grid(grid_size)] + [columns[c] for c in names]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["theta"] + names)
-        for i, theta in enumerate(grid):
-            writer.writerow([_fmt(float(theta))] + [_fmt(float(columns[c][i])) for c in names])
+        writer.writerows(zip(*(map(repr, column.tolist()) for column in cells)))
