@@ -57,7 +57,6 @@ from .kernels import (
     KernelFamily,
     KernelSpec,
     inverse_factorization,
-    scaled_inverse_R,
 )
 from .simulate import (
     ArmaModel,

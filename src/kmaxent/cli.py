@@ -2,8 +2,8 @@
 
 Subcommands: ``single`` (one benchmark-process trial), ``montecarlo``
 (randomized-model study), ``estimate`` (user data from a one-column CSV).
-Options mirror the experiment configuration; a JSON config file can supply
-any of them, with explicit flags taking precedence.
+Options mirror the experiment configuration; a JSON config file can set
+what the command's own flags set, with explicit flags taking precedence.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 excessive trial
 failures (more than 10% of Monte Carlo records failed).
@@ -21,7 +21,6 @@ from .estimators import Method
 from .harness import ExperimentConfig, estimate_file, run_monte_carlo, run_single_trial
 
 _DEFAULTS = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)}
-_CONFIG_KEYS = frozenset(_DEFAULTS)
 # config-file types a field accepts besides its default's: an int where a
 # float is expected, and a path where the default is None
 _ALSO_ACCEPTED = {float: (int,), type(None): (str,)}
@@ -102,6 +101,8 @@ def _parse_methods(raw, parser: _Parser) -> tuple[Method, ...]:
 
 
 def _load_config(args: argparse.Namespace, parser: _Parser) -> ExperimentConfig:
+    # the configuration fields this command has flags for
+    keys = _DEFAULTS.keys() & vars(args).keys()
     values: dict = {}
     if args.config:
         try:
@@ -111,7 +112,7 @@ def _load_config(args: argparse.Namespace, parser: _Parser) -> ExperimentConfig:
             parser.error(f"cannot load config file: {exc}")
         if not isinstance(loaded, dict):
             parser.error("config file must hold a JSON object")
-        unknown = set(loaded) - _CONFIG_KEYS
+        unknown = set(loaded) - keys
         if unknown:
             parser.error(f"unknown config keys: {sorted(unknown)}")
         for key, value in loaded.items():
@@ -122,11 +123,11 @@ def _load_config(args: argparse.Namespace, parser: _Parser) -> ExperimentConfig:
         values.update(loaded)
     if "methods" in values:
         values["methods"] = _parse_methods(values["methods"], parser)
-    for key in _CONFIG_KEYS - {"methods"}:
-        flag = getattr(args, key, None)
+    for key in keys - {"methods"}:
+        flag = getattr(args, key)
         if flag is not None:
             values[key] = flag
-    if getattr(args, "methods", None) is not None:
+    if args.methods is not None:
         values["methods"] = _parse_methods(args.methods, parser)
     if args.command == "estimate":
         # estimate_file checks n and low_order against the file's sample count

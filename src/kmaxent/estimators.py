@@ -5,6 +5,13 @@ selection, the kernel-regularized maximum-entropy estimator in closed form,
 a kernel-regularized one-step-predictor baseline, and the minimum-phase root
 check applied to every estimate.
 
+Both kernel estimators are one ridge regression, :class:`RidgeMarginal`, on
+the reduced form B^T G B of a Gram matrix G and the structured kernel root
+B. It gives the marginal likelihood the hyperparameter search minimizes
+(:meth:`RidgeMarginal.profile`), the coefficients
+(:meth:`RidgeMarginal.posterior_mean`, one Cholesky solve) and the degrees of
+freedom (:meth:`RidgeMarginal.df`); no kernel or kernel inverse is formed.
+
 Every estimator reads the lag sums P_k = sum_t y_t y_{t+k} that each series
 computes once (:meth:`TimeSeries.lag_sums`). The predictor baseline's
 statistics are blocks of one (n+1) x (n+1) Gram matrix of the covariance
@@ -39,7 +46,7 @@ from .errors import (
     InvalidOrderError,
     NotPositiveDefiniteError,
 )
-from .kernels import Hyperparameters, KernelSpec, _scaled_inverse
+from .kernels import Hyperparameters, KernelFamily, KernelSpec, root_scale
 
 
 class Method(str, enum.Enum):
@@ -234,28 +241,202 @@ def _check_kernel_args(spec: KernelSpec, eta: Hyperparameters, size: int) -> Non
         )
 
 
+# The lambda polish takes at most 50 steps (bisection alone narrows a bracket
+# to 2^-50 of its width). It stops once each beta's last Newton step in
+# ln lambda is below 1e-4, which leaves an error of order 1e-8, or its
+# bisected bracket is narrower than 1e-7.
+_NEWTON_STEPS = 50
+_NEWTON_STEP_TOL = 1e-4
+_BRACKET_TOL = 1e-7
+
+
+def shrinkage_df(gram_eigs: np.ndarray, lam: float) -> float:
+    """Ridge degrees of freedom sum_i lam*s_i / (1 + lam*s_i).
+
+    ``gram_eigs`` are the eigenvalues of B^T G B where G is the data Gram
+    matrix and B B^T the prior covariance.
+    """
+    s = np.clip(gram_eigs, 0.0, None)
+    return float(np.sum(lam * s / (1.0 + lam * s)))
+
+
+def _finite(values: np.ndarray) -> np.ndarray:
+    if not np.isfinite(values).all():
+        raise InvalidDataError("marginal likelihood is not finite; the data scale is too extreme")
+    return values
+
+
+@dataclass(frozen=True)
+class RidgeMarginal:
+    """Ridge regression with a kernel prior: marginal likelihood, coefficients, df.
+
+    Scores 0.5 [log det(I + lam A) + t - lam w^T (I + lam A)^{-1} w] with
+    A = B^T G B and w = B^T m, where G is the Gram matrix of the regression,
+    m its moment vector, t the target sum of squares and B B^T the prior
+    covariance at decay rate beta. The noise precision is one: a route with
+    another precision p folds sqrt(p) into m and p into t. Both estimation
+    routes are this form; see :meth:`whittle` and :meth:`regression`.
+
+    Every structured kernel root is S diag(c(beta)) for tc, with S the
+    upper-triangular matrix of ones, and diag(c(beta)) for di. The constructors
+    therefore store S^T G S and S^T m once (G and m for di), and for each beta
+    A = c c^T * S^T G S and w = c * S^T m are elementwise scalings; no kernel
+    matrix is formed.
+    """
+
+    reduced_gram: np.ndarray
+    reduced_moment: np.ndarray
+    target_ss: float
+    family: KernelFamily
+    size: int  # kernel size n + 1
+    trailing: bool  # root of the trailing n x n kernel block instead of the full kernel
+
+    @classmethod
+    def _reduce(cls, gram, moment, target_ss, family, size, trailing):
+        family = KernelFamily(family)
+        if family is KernelFamily.TC:
+            # S^T G S and S^T m are cumulative sums
+            with np.errstate(over="ignore", invalid="ignore"):
+                gram = np.cumsum(np.cumsum(gram, axis=0), axis=1)
+                moment = np.cumsum(moment)
+        if not (np.isfinite(gram).all() and np.isfinite(moment).all()):
+            raise InvalidDataError("reduced Gram matrix overflows; the data scale is too large")
+        return cls(
+            reduced_gram=gram,
+            reduced_moment=moment,
+            target_ss=float(target_ss),
+            family=family,
+            size=size,
+            trailing=trailing,
+        )
+
+    @classmethod
+    def whittle(cls, design: WhittleDesign, cov: ToeplitzCovariance, family: KernelFamily):
+        """Whitened maximum-entropy fit: Phi^T Phi = (N - n) Sigma,
+        Phi^T v~ = (N - n) / b0 e_1 and target v~^T v~, with the root of the
+        full size-(n+1) kernel."""
+        moment = np.zeros(cov.order + 1)
+        moment[0] = design.n_eff / design.b0_prelim
+        return cls._reduce(
+            design.n_eff * cov.matrix,
+            moment,
+            design.v_tilde @ design.v_tilde,
+            family,
+            cov.order + 1,
+            trailing=False,
+        )
+
+    @classmethod
+    def regression(cls, gram, moment, target_ss, b0_prelim, family: KernelFamily):
+        """One-step-predictor regression X^T X, X^T y and y^T y with noise
+        variance 1 / b0^2 and the root of the trailing n x n block of the
+        size-(n+1) kernel. The precision b0^2 is folded into the data: the
+        moment is scaled by b0 and the target by b0^2."""
+        moment, target_ss = b0_prelim * moment, b0_prelim**2 * target_ss
+        return cls._reduce(gram, moment, target_ss, family, len(moment) + 1, trailing=True)
+
+    def _reduced(self, beta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Root scales c, A = B^T G B and w = B^T m at decay rate beta."""
+        c = root_scale(KernelSpec(self.family, beta, self.size), trailing=self.trailing)
+        return c, c[:, None] * self.reduced_gram * c, c * self.reduced_moment
+
+    def _score(self, s: np.ndarray, u2: np.ndarray, lam: np.ndarray) -> np.ndarray:
+        """Objective from eigenvalues s of A and u2 = (Q^T w)^2, one row per
+        beta: log det = sum log(1 + lam s) and w^T (I + lam A)^{-1} w =
+        sum u2 / (1 + lam s), summed over the last axis. ``lam`` carries a
+        trailing unit axis and broadcasts against the rows."""
+        lam_s = lam * s
+        quad = self.target_ss - lam[..., 0] * (u2 / (1.0 + lam_s)).sum(axis=-1)
+        return 0.5 * (np.log1p(lam_s).sum(axis=-1) + quad)
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def profile(self, lams: np.ndarray, betas) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Grid values, shape (len(lams), len(betas)), and each beta's polished
+        best lambda in the box of the ascending ``lams`` with its value.
+
+        One eigendecomposition A = Q diag(s) Q^T per beta gives u2 =
+        (Q^T w)^2. Each beta's grid argmin is then polished by safeguarded
+        Newton steps on x = ln lam, inside the bracket of its grid neighbours.
+        With d = 1 / (1 + lam s), a = lam s d and q = lam u2 d^2 the
+        derivatives are g = df/dx = 0.5 sum(a - q) and
+        h = d2f/dx2 = g + 0.5 sum(a (2q - a)). The value returned is never
+        above the grid minimum. A grid value that is not finite raises
+        InvalidDataError before the polish, and so does a polished one: the
+        minimum of such a trace would depend on its order. Numpy's overflow and
+        invalid-value warnings are off throughout: the finiteness checks name
+        the failure, and the polish may overflow in q on a finite grid, where
+        it bisects.
+        """
+        lams = np.asarray(lams, dtype=float)
+        s, u2 = np.empty((2, len(betas), self.reduced_moment.size))
+        for j, beta in enumerate(betas):
+            _, A, w = self._reduced(float(beta))
+            s[j], Q = np.linalg.eigh(A)
+            u2[j] = (Q.T @ w) ** 2
+        s = np.clip(s, 0.0, None)
+        values = _finite(self._score(s, u2, lams[:, None, None]))
+        best = np.argmin(values, axis=0)
+        x0 = np.log(lams[best])
+        lo = np.log(lams[np.maximum(best - 1, 0)])
+        hi = np.log(lams[np.minimum(best + 1, lams.size - 1)])
+        x = x0
+        for _ in range(_NEWTON_STEPS):
+            lam = np.exp(x)[:, None]
+            d = 1.0 / (1.0 + lam * s)
+            a, q = lam * s * d, lam * u2 * d * d
+            g = 0.5 * (a - q).sum(axis=1)
+            h = g + 0.5 * (a * (2.0 * q - a)).sum(axis=1)
+            # the minimum lies downhill of x; a step that leaves the bracket,
+            # or has no positive curvature, bisects it instead
+            lo, hi = np.where(g < 0.0, x, lo), np.where(g > 0.0, x, hi)
+            newton = x - g / np.where(h > 0.0, h, np.inf)
+            inside = (lo <= newton) & (newton <= hi)
+            x, step = np.where(inside, newton, 0.5 * (lo + hi)), np.abs(newton - x)
+            if np.all(np.where(inside, step <= _NEWTON_STEP_TOL, hi - lo <= _BRACKET_TOL)):
+                break
+        lam = np.where(x == x0, lams[best], np.clip(np.exp(x), lams[0], lams[-1]))
+        polished = _finite(self._score(s, u2, lam[:, None]))
+        grid_best = values[best, np.arange(best.size)]
+        keep = polished < grid_best
+        return values, np.where(keep, lam, lams[best]), np.where(keep, polished, grid_best)
+
+    def df(self, eta: Hyperparameters) -> float:
+        """Ridge degrees of freedom from the eigenvalues of A at eta."""
+        return shrinkage_df(np.linalg.eigvalsh(self._reduced(eta.beta)[1]), eta.lam)
+
+    def posterior_mean(self, eta: Hyperparameters) -> np.ndarray:
+        """Ridge coefficients lam B (I + lam A)^{-1} w at eta.
+
+        One Cholesky solve of I + lam A, whose eigenvalues are at least one;
+        B is then applied as the column scaling c and, for tc, as the
+        upper-triangular matrix of ones, a reversed cumulative sum. No kernel
+        or kernel inverse is formed. Where rounding leaves I + lam A
+        indefinite (kernel-PEM on a constant series of 3e14), the
+        factorization fails and the fit is a named error.
+        """
+        c, A, w = self._reduced(eta.beta)
+        theta = eta.lam * c * _solve_spd(np.eye(w.size) + eta.lam * A, w)
+        return np.cumsum(theta[::-1])[::-1] if self.family is KernelFamily.TC else theta
+
+
 def kernel_me(
     design: WhittleDesign,
     cov: ToeplitzCovariance,
     spec: KernelSpec,
     eta: Hyperparameters,
 ) -> PredictorPolynomial:
-    """Kernel-regularized maximum-entropy estimate, normal-equation form.
+    """Kernel-regularized maximum-entropy estimate.
 
-    Minimizes ||v_tilde - Phi b||^2 + lam^{-1} ||b||^2_{K^{-1}} through the
-    equivalent solve b = b0_prelim^{-1} (Sigma + R)^{-1} e_1 with
-    R = ((N - n) lam K)^{-1} assembled structurally, so the kernel is never
-    inverted numerically. Sigma + R is SPD whenever Sigma is PSD.
+    Minimizes ||v_tilde - Phi b||^2 + lam^{-1} ||b||^2_{K^{-1}}, which equals
+    b = b0_prelim^{-1} (Sigma + ((N - n) lam K)^{-1})^{-1} e_1; computed as
+    the posterior mean of the search's own reduced form,
+    :meth:`RidgeMarginal.posterior_mean` of :meth:`RidgeMarginal.whittle`.
     """
     size = cov.order + 1
     _check_kernel_args(spec, eta, size)
     if design.phi_data.shape[0] != size:
         raise InvalidOrderError("design and covariance sizes differ")
-    R = _scaled_inverse(spec, design.n_eff * eta.lam)
-    v = np.zeros(size)
-    v[0] = 1.0
-    b = _solve_spd(cov.matrix + R, v) / design.b0_prelim
-    return PredictorPolynomial(b)
+    return PredictorPolynomial(RidgeMarginal.whittle(design, cov, spec.family).posterior_mean(eta))
 
 
 def lagged_gram(y: TimeSeries, n: int) -> np.ndarray:
@@ -294,9 +475,9 @@ def kernel_pem(
     result carries no minimum-phase guarantee.
 
     ``gram`` is :func:`lagged_gram` of ``y`` at order n = gram.shape[0] - 1.
-    The normal equations (X^T X + (lam Kbar)^{-1}) a = X^T y use its blocks,
-    damped like :func:`kernel_me` by a structured inverse: Kbar equals beta
-    times the size-n kernel of the same family. The residuals come
+    The weights a = (X^T X + (lam Kbar)^{-1})^{-1} X^T y come from its blocks
+    as the posterior mean of :meth:`RidgeMarginal.regression` at unit noise
+    precision, the reduced form :func:`kernel_me` solves. The residuals come
     from filtering y with (1, -a) by ``np.convolve``, which is exact, O(N n)
     time and O(N) memory; the quadratic form in the Gram would cancel badly
     on nearly predictable series. Residuals that are all zero, as when only
@@ -304,8 +485,8 @@ def kernel_pem(
     """
     n = gram.shape[0] - 1
     _check_kernel_args(spec, eta, n + 1)
-    R = _scaled_inverse(KernelSpec(spec.family, spec.beta, n), eta.lam * spec.beta)
-    a = _solve_spd(gram[1:, 1:] + R, gram[1:, 0])
+    ridge = RidgeMarginal.regression(gram[1:, 1:], gram[1:, 0], gram[0, 0], 1.0, spec.family)
+    a = ridge.posterior_mean(eta)
     predictor = np.concatenate(([1.0], -a))
     resid = np.convolve(y.samples, predictor, mode="valid")
     sigma_hat = np.sqrt(np.mean(resid**2))

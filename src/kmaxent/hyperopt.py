@@ -2,25 +2,22 @@
 
 The kernel scale and decay rate are chosen by minimizing the negative
 log-marginal likelihood of the data with the coefficient vector integrated
-out. Kernel-ME and kernel-PEM are two cases of one ridge-regression marginal
-likelihood with unit noise precision, implemented once in
-:class:`RidgeMarginal` on the reduced form B^T G B of the Gram matrix G and
-the structured kernel root B. Every score, the single point of
-:func:`neg_log_marginal` included, comes from :meth:`RidgeMarginal.profile`.
-Both pipelines end in one shared tail: search, coefficient solve, degrees of
+out. Kernel-ME and kernel-PEM are two cases of one ridge regression,
+:class:`~kmaxent.estimators.RidgeMarginal` (re-exported here): its
+:meth:`~kmaxent.estimators.RidgeMarginal.profile` gives every score of the
+search, the single point of :func:`neg_log_marginal` included, and the same
+reduced form gives the coefficient solve and the degrees of freedom. Both
+pipelines end in one shared tail: search, coefficient solve, degrees of
 freedom and root check.
 
 The surface is not convex, so the search is a deterministic two-stage
 procedure inside a fixed box (:class:`PipelineConfig`): an exhaustive coarse
 grid over (log10 lambda, beta), then a refinement of the lambda-profiled
-likelihood.
-One eigendecomposition of the reduced n x n form per beta gives the whole
-lambda profile at O(n) per lambda, so each beta's best lambda is polished by
-safeguarded Newton steps on the closed-form derivatives, and a bounded Brent
-search (R. Brent, 1973) over beta follows, one eigendecomposition per beta it
-tries (T. Chen and L. Ljung, Automatica 2013). That search lives in this
-module (:func:`_bounded_brent`, a port of scipy's bounded scalar minimizer),
-so the betas it tries do not move with the installed scipy.
+likelihood. ``profile`` polishes each grid beta's best lambda, and a bounded
+Brent search (R. Brent, 1973) over beta follows, one eigendecomposition per
+beta it tries (T. Chen and L. Ljung, Automatica 2013). That search lives in
+this module (:func:`_bounded_brent`, a port of scipy's bounded scalar
+minimizer), so the betas it tries do not move with the installed scipy.
 """
 
 from __future__ import annotations
@@ -32,34 +29,20 @@ from typing import ClassVar
 
 import numpy as np
 
-from .covariance import TimeSeries, ToeplitzCovariance, build_toeplitz, cholesky, estimate_lags
-from .diagnostics import shrinkage_df
-from .errors import InvalidDataError, InvalidOrderError, KmaxentError, PipelineError
+from .covariance import TimeSeries, build_toeplitz, cholesky, estimate_lags
+from .errors import InvalidOrderError, KmaxentError, PipelineError
 from .estimators import (
     EstimateResult,
     Method,
-    WhittleDesign,
+    RidgeMarginal,
     build_whittle_design,
     kernel_me,
     kernel_pem,
     lagged_gram,
     preliminary_b0,
 )
-from .kernels import (
-    Hyperparameters,
-    KernelFamily,
-    KernelSpec,
-    root_scale,
-)
+from .kernels import Hyperparameters, KernelFamily, KernelSpec
 
-
-# The lambda polish takes at most 50 steps (bisection alone narrows a bracket
-# to 2^-50 of its width). It stops once each beta's last Newton step in
-# ln lambda is below 1e-4, which leaves an error of order 1e-8, or its
-# bisected bracket is narrower than 1e-7.
-_NEWTON_STEPS = 50
-_NEWTON_STEP_TOL = 1e-4
-_BRACKET_TOL = 1e-7
 _BETA_TOL = 1e-7  # absolute tolerance of the bounded Brent search over beta
 
 
@@ -89,151 +72,6 @@ _LOG10_LAMS = _box_axis(_BOX.log10_lambda_min, _BOX.log10_lambda_max, _BOX.log10
 # scalar powers: numpy's vectorized power can differ in the last bit
 _LAMS = np.array([10.0**x for x in _LOG10_LAMS])
 _BETAS = _box_axis(_BOX.beta_min, _BOX.beta_max, _BOX.beta_step)
-
-
-def _finite(values: np.ndarray) -> np.ndarray:
-    if not np.isfinite(values).all():
-        raise InvalidDataError("marginal likelihood is not finite; the data scale is too extreme")
-    return values
-
-
-@dataclass(frozen=True)
-class RidgeMarginal:
-    """Negative log-marginal likelihood of a ridge regression with a kernel prior.
-
-    Scores 0.5 [log det(I + lam A) + t - lam w^T (I + lam A)^{-1} w] with
-    A = B^T G B and w = B^T m, where G is the Gram matrix of the regression,
-    m its moment vector, t the target sum of squares and B B^T the prior
-    covariance at decay rate beta. The noise precision is one: a route with
-    another precision p folds sqrt(p) into m and p into t. Both estimation
-    routes are this form; see :meth:`whittle` and :meth:`regression`.
-
-    Every structured kernel root is S diag(c(beta)) for tc, with S the
-    upper-triangular matrix of ones, and diag(c(beta)) for di. The constructors
-    therefore store S^T G S and S^T m once (G and m for di), and for each beta
-    A = c c^T * S^T G S and w = c * S^T m are elementwise scalings; no kernel
-    matrix is formed.
-    """
-
-    reduced_gram: np.ndarray
-    reduced_moment: np.ndarray
-    target_ss: float
-    family: KernelFamily
-    size: int  # kernel size n + 1
-    trailing: bool  # root of the trailing n x n kernel block instead of the full kernel
-
-    @classmethod
-    def _reduce(cls, gram, moment, target_ss, family, size, trailing):
-        family = KernelFamily(family)
-        if family is KernelFamily.TC:
-            # S^T G S and S^T m are cumulative sums
-            with np.errstate(over="ignore", invalid="ignore"):
-                gram = np.cumsum(np.cumsum(gram, axis=0), axis=1)
-                moment = np.cumsum(moment)
-        if not (np.isfinite(gram).all() and np.isfinite(moment).all()):
-            raise InvalidDataError("reduced Gram matrix overflows; the data scale is too large")
-        return cls(
-            reduced_gram=gram,
-            reduced_moment=moment,
-            target_ss=float(target_ss),
-            family=family,
-            size=size,
-            trailing=trailing,
-        )
-
-    @classmethod
-    def whittle(cls, design: WhittleDesign, cov: ToeplitzCovariance, family: KernelFamily):
-        """Whitened maximum-entropy fit: Phi^T Phi = (N - n) Sigma,
-        Phi^T v~ = (N - n) / b0 e_1 and target v~^T v~, with the root of the
-        full size-(n+1) kernel."""
-        moment = np.zeros(cov.order + 1)
-        moment[0] = design.n_eff / design.b0_prelim
-        return cls._reduce(
-            design.n_eff * cov.matrix,
-            moment,
-            design.v_tilde @ design.v_tilde,
-            family,
-            cov.order + 1,
-            trailing=False,
-        )
-
-    @classmethod
-    def regression(cls, gram, moment, target_ss, b0_prelim, family: KernelFamily):
-        """One-step-predictor regression X^T X, X^T y and y^T y with noise
-        variance 1 / b0^2 and the root of the trailing n x n block of the
-        size-(n+1) kernel. The precision b0^2 is folded into the data: the
-        moment is scaled by b0 and the target by b0^2."""
-        moment, target_ss = b0_prelim * moment, b0_prelim**2 * target_ss
-        return cls._reduce(gram, moment, target_ss, family, len(moment) + 1, trailing=True)
-
-    def _reduced(self, beta: float) -> tuple[np.ndarray, np.ndarray]:
-        """A = B^T G B and w = B^T m at decay rate beta."""
-        c = root_scale(KernelSpec(self.family, beta, self.size), trailing=self.trailing)
-        return c[:, None] * self.reduced_gram * c, c * self.reduced_moment
-
-    def _score(self, s: np.ndarray, u2: np.ndarray, lam: np.ndarray) -> np.ndarray:
-        """Objective from eigenvalues s of A and u2 = (Q^T w)^2, one row per
-        beta: log det = sum log(1 + lam s) and w^T (I + lam A)^{-1} w =
-        sum u2 / (1 + lam s), summed over the last axis. ``lam`` carries a
-        trailing unit axis and broadcasts against the rows."""
-        lam_s = lam * s
-        quad = self.target_ss - lam[..., 0] * (u2 / (1.0 + lam_s)).sum(axis=-1)
-        return 0.5 * (np.log1p(lam_s).sum(axis=-1) + quad)
-
-    @np.errstate(over="ignore", invalid="ignore")
-    def profile(self, lams: np.ndarray, betas) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Grid values, shape (len(lams), len(betas)), and each beta's polished
-        best lambda in the box of the ascending ``lams`` with its value.
-
-        One eigendecomposition A = Q diag(s) Q^T per beta gives u2 =
-        (Q^T w)^2. Each beta's grid argmin is then polished by safeguarded
-        Newton steps on x = ln lam, inside the bracket of its grid neighbours.
-        With d = 1 / (1 + lam s), a = lam s d and q = lam u2 d^2 the
-        derivatives are g = df/dx = 0.5 sum(a - q) and
-        h = d2f/dx2 = g + 0.5 sum(a (2q - a)). The value returned is never
-        above the grid minimum. A grid value that is not finite raises
-        InvalidDataError before the polish, and so does a polished one: the
-        minimum of such a trace would depend on its order. Numpy's overflow and
-        invalid-value warnings are off throughout: the finiteness checks name
-        the failure, and the polish may overflow in q on a finite grid, where
-        it bisects.
-        """
-        lams = np.asarray(lams, dtype=float)
-        s, u2 = np.empty((2, len(betas), self.reduced_moment.size))
-        for j, beta in enumerate(betas):
-            A, w = self._reduced(float(beta))
-            s[j], Q = np.linalg.eigh(A)
-            u2[j] = (Q.T @ w) ** 2
-        s = np.clip(s, 0.0, None)
-        values = _finite(self._score(s, u2, lams[:, None, None]))
-        best = np.argmin(values, axis=0)
-        x0 = np.log(lams[best])
-        lo = np.log(lams[np.maximum(best - 1, 0)])
-        hi = np.log(lams[np.minimum(best + 1, lams.size - 1)])
-        x = x0
-        for _ in range(_NEWTON_STEPS):
-            lam = np.exp(x)[:, None]
-            d = 1.0 / (1.0 + lam * s)
-            a, q = lam * s * d, lam * u2 * d * d
-            g = 0.5 * (a - q).sum(axis=1)
-            h = g + 0.5 * (a * (2.0 * q - a)).sum(axis=1)
-            # the minimum lies downhill of x; a step that leaves the bracket,
-            # or has no positive curvature, bisects it instead
-            lo, hi = np.where(g < 0.0, x, lo), np.where(g > 0.0, x, hi)
-            newton = x - g / np.where(h > 0.0, h, np.inf)
-            inside = (lo <= newton) & (newton <= hi)
-            x, step = np.where(inside, newton, 0.5 * (lo + hi)), np.abs(newton - x)
-            if np.all(np.where(inside, step <= _NEWTON_STEP_TOL, hi - lo <= _BRACKET_TOL)):
-                break
-        lam = np.where(x == x0, lams[best], np.clip(np.exp(x), lams[0], lams[-1]))
-        polished = _finite(self._score(s, u2, lam[:, None]))
-        grid_best = values[best, np.arange(best.size)]
-        keep = polished < grid_best
-        return values, np.where(keep, lam, lams[best]), np.where(keep, polished, grid_best)
-
-    def df(self, eta: Hyperparameters) -> float:
-        """Ridge degrees of freedom from the eigenvalues of A at eta."""
-        return shrinkage_df(np.linalg.eigvalsh(self._reduced(eta.beta)[0]), eta.lam)
 
 
 @dataclass(frozen=True)

@@ -7,10 +7,11 @@ coefficients. Entries follow the 1-based index convention (t, s = 1..n+1);
 storage is 0-based with the exponent offset applied explicitly.
 
 The tc kernel admits an exact inverse factorization K^{-1} = F D F^T with F
-lower bidiagonal and D diagonal, so every scaled inverse used downstream is
-built structurally, and the search works with the kernel root of
-:func:`root_scale`; the dense kernel is never formed. The kernel itself is
-very ill-conditioned for decay rates near one, while F and D are benign.
+lower bidiagonal and D diagonal (:func:`inverse_factorization`), which gives
+the kernel root of :func:`root_scale`. The search, the coefficient solves and
+the degrees of freedom all work with that root; neither the dense kernel nor
+its inverse is formed. The kernel itself is very ill-conditioned for decay
+rates near one, while the root is benign.
 """
 
 from __future__ import annotations
@@ -107,27 +108,3 @@ def root_scale(spec: KernelSpec, trailing: bool = False) -> np.ndarray:
     if spec.family is KernelFamily.DI:
         return np.sqrt(beta ** np.arange(1, size + 1))
     return np.sqrt((beta - beta**2) * beta ** np.arange(size))
-
-
-def _scaled_inverse(spec: KernelSpec, scale: float) -> np.ndarray:
-    """Dense (scale * K)^{-1} assembled from the structured factorization."""
-    fac = inverse_factorization(spec)
-    d = fac.d / scale
-    if spec.family is KernelFamily.DI:
-        return np.diag(d)
-    return (fac.F * d) @ fac.F.T
-
-
-def scaled_inverse_R(spec: KernelSpec, lam: float, N: int, n: int) -> np.ndarray:
-    """The regularization matrix R = ((N - n) * lam * K)^{-1}, built structurally.
-
-    di: diagonal with entries ((N - n) * lam * beta^k)^{-1}, k = 1..n+1.
-    tc: F diag(d) F^T with d_k = ((N - n) * lam * beta^{k-1} * (beta - beta^2))^{-1}.
-    """
-    if n < 0 or N <= n:
-        raise InvalidOrderError(f"need N > n >= 0, got N={N}, n={n}")
-    if spec.size != n + 1:
-        raise InvalidOrderError(f"kernel size {spec.size} does not match n + 1 = {n + 1}")
-    if not (np.isfinite(lam) and lam > 0):
-        raise InvalidHyperparameterError(f"lambda must be finite and > 0, got {lam}")
-    return _scaled_inverse(spec, (N - n) * lam)

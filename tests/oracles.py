@@ -11,16 +11,22 @@ import scipy.linalg
 import scipy.optimize
 
 from kmaxent.covariance import TimeSeries, ToeplitzCovariance, build_toeplitz, estimate_lags
-from kmaxent.errors import DataParseError
+from kmaxent.errors import DataParseError, InvalidHyperparameterError, InvalidOrderError
 from kmaxent.estimators import (
     PredictorPolynomial,
+    RidgeMarginal,
     WhittleDesign,
     _check_kernel_args,
     _solve_spd,
     yule_walker,
 )
-from kmaxent.hyperopt import RidgeMarginal
-from kmaxent.kernels import Hyperparameters, KernelFamily, KernelSpec, root_scale
+from kmaxent.kernels import (
+    Hyperparameters,
+    KernelFamily,
+    KernelSpec,
+    inverse_factorization,
+    root_scale,
+)
 
 
 def lagged_design(y: TimeSeries, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -60,6 +66,30 @@ def kernel_matrix(spec: KernelSpec) -> np.ndarray:
     return beta ** np.maximum.outer(idx, idx) - beta ** (size + 1)
 
 
+def scaled_inverse_R(spec: KernelSpec, lam: float, N: int, n: int) -> np.ndarray:
+    """The regularization matrix R = ((N - n) * lam * K)^{-1}, built structurally.
+
+    di: diagonal with entries ((N - n) * lam * beta^k)^{-1}, k = 1..n+1.
+    tc: F diag(d) F^T with d_k = ((N - n) * lam * beta^{k-1} * (beta - beta^2))^{-1}.
+    """
+    if n < 0 or N <= n:
+        raise InvalidOrderError(f"need N > n >= 0, got N={N}, n={n}")
+    if spec.size != n + 1:
+        raise InvalidOrderError(f"kernel size {spec.size} does not match n + 1 = {n + 1}")
+    if not (np.isfinite(lam) and lam > 0):
+        raise InvalidHyperparameterError(f"lambda must be finite and > 0, got {lam}")
+    fac = inverse_factorization(spec)
+    return (fac.F * (fac.d / ((N - n) * lam))) @ fac.F.T
+
+
+def dense_degrees_of_freedom(
+    cov: ToeplitzCovariance, spec: KernelSpec, eta: Hyperparameters, N: int
+) -> float:
+    """df = tr[(Sigma + R)^{-1} Sigma] by one dense Cholesky solve against Sigma."""
+    R = scaled_inverse_R(spec, eta.lam, N, cov.order)
+    return float(np.trace(_solve_spd(cov.matrix + R, cov.matrix)))
+
+
 def kernel_me_regularized_ls(
     design: WhittleDesign, spec: KernelSpec, eta: Hyperparameters
 ) -> PredictorPolynomial:
@@ -81,7 +111,7 @@ def cholesky_neg_log_marginal(core: RidgeMarginal, eta: Hyperparameters) -> floa
     """The ridge marginal likelihood at one point by Cholesky, not eigenvalues."""
     # M = I + lam A >= I, so its Cholesky is stable: the log-determinant
     # comes from the factor diagonal, the quadratic form from one solve
-    A, w = core._reduced(eta.beta)
+    _, A, w = core._reduced(eta.beta)
     L = np.linalg.cholesky(eta.lam * A + np.eye(w.size))
     log_det = 2.0 * np.sum(np.log(np.diag(L)))
     z = scipy.linalg.solve_triangular(L, w, lower=True, check_finite=False)

@@ -4,6 +4,7 @@ import pytest
 from kmaxent.covariance import build_toeplitz, estimate_lags
 from kmaxent.diagnostics import degrees_of_freedom, shrinkage_df
 from kmaxent.errors import InvalidOrderError
+from kmaxent.hyperopt import run_pipeline
 from kmaxent.kernels import Hyperparameters, KernelFamily, KernelSpec
 from kmaxent.simulate import generate, random_arma
 
@@ -54,6 +55,13 @@ class TestDegreesOfFreedom:
             )
             assert np.all(dfs >= 0.0) and np.all(dfs <= n + 1 + 1e-9)
             assert np.all(np.diff(dfs) >= -1e-9)
+
+    def test_is_the_pipeline_df(self, benchmark_setup):
+        y, cov, _, _ = benchmark_setup
+        for family in KernelFamily:
+            result = run_pipeline(y, cov.order, family)
+            spec = KernelSpec(family, result.eta_hat.beta, cov.order + 1)
+            assert degrees_of_freedom(cov, spec, result.eta_hat, y.n_samples) == result.df
 
     def test_rejects_n_not_less_than_N(self, benchmark_setup):
         _, cov, _, _ = benchmark_setup

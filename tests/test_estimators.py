@@ -34,6 +34,10 @@ from oracles import (
 )
 
 
+# (lam, beta) at the corners of the hyperparameter search box
+BOX_CORNERS = [(lam, beta) for lam in (1e-4, 1e4) for beta in (0.05, 0.95)]
+
+
 def ar_series(coeffs, N, seed, sigma=1.0, burn=500):
     """AR data with y_t = sum_k coeffs[k] y_{t-k-1} + sigma * e_t."""
     rng = np.random.default_rng(seed)
@@ -215,30 +219,37 @@ class TestKernelMe:
 
     def test_matches_dense_normal_equations_oracle(self, benchmark_setup):
         _, cov, _, design = benchmark_setup
-        eta = Hyperparameters(1.0, 0.85)
-        spec = KernelSpec(KernelFamily.DI, 0.85, cov.order + 1)
-        b = kernel_me(design, cov, spec, eta)
-        K = kernel_matrix(spec)
-        phi, vt = design.phi_data, design.v_tilde
-        oracle = np.linalg.solve(
-            phi.T @ phi + np.linalg.inv(K) / eta.lam, phi.T @ vt
-        )
-        rel = np.linalg.norm(b.coeffs - oracle) / np.linalg.norm(oracle)
-        assert rel <= 1e-6
+        cases = [(KernelFamily.DI, 1.0, 0.85, 1e-6)] + [
+            (family, lam, beta, 1e-8) for family in KernelFamily for lam, beta in BOX_CORNERS
+        ]
+        for family, lam, beta, tol in cases:
+            eta = Hyperparameters(lam, beta)
+            spec = KernelSpec(family, beta, cov.order + 1)
+            b = kernel_me(design, cov, spec, eta)
+            K = kernel_matrix(spec)
+            phi, vt = design.phi_data, design.v_tilde
+            oracle = np.linalg.solve(
+                phi.T @ phi + np.linalg.inv(K) / eta.lam, phi.T @ vt
+            )
+            rel = np.linalg.norm(b.coeffs - oracle) / np.linalg.norm(oracle)
+            assert rel <= tol, (family, lam, beta, rel)
 
     def test_closed_forms_agree(self, benchmark_setup):
         _, cov, _, design = benchmark_setup
         rng = np.random.default_rng(5)
+        cases = []
         for _ in range(10):
             beta = rng.uniform(0.1, 0.95)
             lam = 10.0 ** rng.uniform(-3, 3)
-            family = KernelFamily.DI if rng.random() < 0.5 else KernelFamily.TC
+            cases.append((KernelFamily.DI if rng.random() < 0.5 else KernelFamily.TC, lam, beta))
+        cases += [(family, lam, beta) for family in KernelFamily for lam, beta in BOX_CORNERS]
+        for family, lam, beta in cases:
             spec = KernelSpec(family, beta, cov.order + 1)
             eta = Hyperparameters(lam, beta)
             b1 = kernel_me(design, cov, spec, eta)
             b2 = kernel_me_regularized_ls(design, spec, eta)
             rel = np.linalg.norm(b1.coeffs - b2.coeffs) / np.linalg.norm(b1.coeffs)
-            assert rel <= 1e-8
+            assert rel <= 1e-8, (family, lam, beta, rel)
 
     def test_scale_equivariance(self, benchmark_series):
         # scaling the data by c scales the covariance by c^2 and the
@@ -313,18 +324,20 @@ class TestKernelPem:
         assert objective(a_pem) <= objective(a_me)
 
     def test_matches_dense_normal_equations_oracle(self, benchmark_series):
-        n, beta, lam = 12, 0.8, 0.4
+        n = 12
+        cases = [(0.4, 0.8, 1e-9)] + [(lam, beta, 1e-8) for lam, beta in BOX_CORNERS]
         for family in KernelFamily:
-            spec = KernelSpec(family, beta, n + 1)
-            gram = lagged_gram(benchmark_series, n)
-            b = kernel_pem(benchmark_series, gram, spec, Hyperparameters(lam, beta))
-            X, target = lagged_design(benchmark_series, n)
-            kbar_inv = np.linalg.inv(kernel_matrix(spec)[1:, 1:])
-            a = np.linalg.solve(X.T @ X + kbar_inv / lam, X.T @ target)
-            resid = target - X @ a
-            expected = np.concatenate(([1.0], -a)) / np.sqrt(np.mean(resid**2))
-            rel = np.linalg.norm(b.coeffs - expected) / np.linalg.norm(expected)
-            assert rel <= 1e-9
+            for lam, beta, tol in cases:
+                spec = KernelSpec(family, beta, n + 1)
+                gram = lagged_gram(benchmark_series, n)
+                b = kernel_pem(benchmark_series, gram, spec, Hyperparameters(lam, beta))
+                X, target = lagged_design(benchmark_series, n)
+                kbar_inv = np.linalg.inv(kernel_matrix(spec)[1:, 1:])
+                a = np.linalg.solve(X.T @ X + kbar_inv / lam, X.T @ target)
+                resid = target - X @ a
+                expected = np.concatenate(([1.0], -a)) / np.sqrt(np.mean(resid**2))
+                rel = np.linalg.norm(b.coeffs - expected) / np.linalg.norm(expected)
+                assert rel <= tol, (family, lam, beta, rel)
 
     @pytest.mark.parametrize("family", list(KernelFamily))
     @pytest.mark.parametrize("lam", [1e-4, 1e4])

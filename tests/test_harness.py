@@ -741,12 +741,20 @@ class TestCli:
         cfg = cli._load_config(parser.parse_args(["montecarlo", "--config", str(config)]), parser)
         assert cfg.max_phase_gap == 0 and cfg.output_path is None
 
-    def test_unknown_config_key_rejected(self, tmp_path):
+    def test_unknown_config_key_rejected(self, tmp_path, capsys):
+        # a config file may set only what the command's own flags set
         config = tmp_path / "cfg.json"
-        config.write_text(json.dumps({"bogus_key": 1}))
-        with pytest.raises(SystemExit) as exc_info:
-            cli.main(["single", "--config", str(config)])
-        assert exc_info.value.code == 1
+        data = tmp_path / "data.csv"
+        for args, loaded in (
+            (["single"], {"bogus_key": 1}),
+            (["estimate", str(data)], {"N": 500}),
+            (["single"], {"runs": 2}),
+        ):
+            config.write_text(json.dumps(loaded))
+            with pytest.raises(SystemExit) as exc_info:
+                cli.main(args + ["--config", str(config)])
+            assert exc_info.value.code == 1
+            assert "unknown config keys" in capsys.readouterr().err
 
     def test_excessive_failures_exit_code(self, monkeypatch, tmp_path, capsys):
         def always_fail(y, n, family, config):
@@ -778,15 +786,14 @@ class TestCli:
 
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_estimate_checks_the_order_against_the_file_length(self, tmp_path, capsys, source):
-        # estimate's N is its file's sample count, not the default or a
-        # config-file N
+        # estimate's N is its file's sample count, not the default
         data = write_bench_csv(tmp_path / "data.csv", generate(benchmark_arma(), 20_000, 2).samples)
         args = ["estimate", str(data), "--methods", "me", "--grid-size", "256"]
         if source == "flag":
             args += ["--n", "600"]
         else:
             config = tmp_path / "cfg.json"
-            config.write_text('{"N": 500, "n": 600, "low_order": 550}')
+            config.write_text('{"n": 600, "low_order": 550}')
             args += ["--config", str(config)]
         assert cli.main(args + ["--out", str(tmp_path / "out")]) == 0
         document = json.loads((tmp_path / "out" / "result.json").read_text())

@@ -7,7 +7,7 @@ import pytest
 
 from kmaxent import hyperopt
 from kmaxent.covariance import TimeSeries, build_toeplitz, cholesky, estimate_lags
-from kmaxent.diagnostics import degrees_of_freedom, shrinkage_df
+from kmaxent.diagnostics import shrinkage_df
 from kmaxent.errors import (
     InvalidOrderError,
     KmaxentError,
@@ -30,6 +30,7 @@ from oracles import (
     MarginalObjective,
     brent_evaluations,
     cholesky_neg_log_marginal,
+    dense_degrees_of_freedom,
     kernel_matrix,
     lagged_design,
     scipy_bounded_brent,
@@ -208,7 +209,7 @@ class TestRidgeMarginalCore:
         y, cov, _, _ = benchmark_setup
         result = run_pipeline(y, 50, family)
         spec = KernelSpec(family, result.eta_hat.beta, 51)
-        expected = degrees_of_freedom(cov, spec, result.eta_hat, y.n_samples)
+        expected = dense_degrees_of_freedom(cov, spec, result.eta_hat, y.n_samples)
         assert abs(result.df - expected) <= 1e-12 * expected
 
 

@@ -4,14 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kmaxent.errors import InvalidHyperparameterError, InvalidOrderError
-from kmaxent.kernels import (
-    Hyperparameters,
-    KernelFamily,
-    KernelSpec,
-    inverse_factorization,
-    scaled_inverse_R,
-)
-from oracles import kernel_matrix, square_root, trailing_block_root
+from kmaxent.kernels import Hyperparameters, KernelFamily, KernelSpec, inverse_factorization
+from oracles import kernel_matrix, scaled_inverse_R, square_root, trailing_block_root
 
 
 class TestKernelMatrix:
