@@ -11,22 +11,22 @@ import numpy as np
 
 from .covariance import ToeplitzCovariance
 from .errors import InvalidOrderError
-from .estimators import RidgeMarginal, _check_kernel_args, shrinkage_df
-from .kernels import Hyperparameters, KernelSpec
+from .estimators import RidgeMarginal, shrinkage_df
+from .kernels import Hyperparameters, KernelFamily
 
 
 def degrees_of_freedom(
-    cov: ToeplitzCovariance, spec: KernelSpec, eta: Hyperparameters, N: int
+    cov: ToeplitzCovariance, family: KernelFamily, eta: Hyperparameters, N: int
 ) -> float:
     """Effective parameter count df = tr[(Sigma + R)^{-1} Sigma], R = ((N - n) lam K)^{-1}.
 
-    Evaluated as the ridge df of the Gram (N - n) Sigma under the kernel
-    root; it ranges over [0, n + 1], reaching the upper end as lam grows
-    without bound (no regularization).
+    K is the size-(n+1) kernel of ``family`` at eta's beta, with n the order
+    of ``cov``. Evaluated as the ridge df of the Gram (N - n) Sigma under the
+    kernel root; it ranges over [0, n + 1], reaching the upper end as lam
+    grows without bound (no regularization).
     """
     n = cov.order
     if N <= n:
         raise InvalidOrderError(f"need N > n, got N={N}, n={n}")
-    _check_kernel_args(spec, eta, n + 1)
     gram, moment = (N - n) * cov.matrix, np.zeros(n + 1)
-    return RidgeMarginal._reduce(gram, moment, 0.0, spec.family, n + 1, trailing=False).df(eta)
+    return RidgeMarginal._reduce(gram, moment, 0.0, family, n + 1).df(eta)

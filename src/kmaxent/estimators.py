@@ -40,12 +40,7 @@ from .covariance import (
     build_toeplitz,
     estimate_lags,
 )
-from .errors import (
-    InvalidDataError,
-    InvalidHyperparameterError,
-    InvalidOrderError,
-    NotPositiveDefiniteError,
-)
+from .errors import InvalidDataError, InvalidOrderError, NotPositiveDefiniteError
 from .kernels import Hyperparameters, KernelFamily, KernelSpec, root_scale
 
 
@@ -232,15 +227,6 @@ def build_whittle_design(
     )
 
 
-def _check_kernel_args(spec: KernelSpec, eta: Hyperparameters, size: int) -> None:
-    if spec.size != size:
-        raise InvalidOrderError(f"kernel size {spec.size} does not match problem size {size}")
-    if spec.beta != eta.beta:
-        raise InvalidHyperparameterError(
-            f"kernel beta {spec.beta} differs from hyperparameter beta {eta.beta}"
-        )
-
-
 # The lambda polish takes at most 50 steps (bisection alone narrows a bracket
 # to 2^-50 of its width). It stops once each beta's last Newton step in
 # ln lambda is below 1e-4, which leaves an error of order 1e-8, or its
@@ -281,7 +267,9 @@ class RidgeMarginal:
     upper-triangular matrix of ones, and diag(c(beta)) for di. The constructors
     therefore store S^T G S and S^T m once (G and m for di), and for each beta
     A = c c^T * S^T G S and w = c * S^T m are elementwise scalings; no kernel
-    matrix is formed.
+    matrix is formed. The root scales c are the last ``reduced_moment.size``
+    of the size-``size`` kernel root: all of them for the full kernel, and
+    all but the first for its trailing block.
     """
 
     reduced_gram: np.ndarray
@@ -289,10 +277,9 @@ class RidgeMarginal:
     target_ss: float
     family: KernelFamily
     size: int  # kernel size n + 1
-    trailing: bool  # root of the trailing n x n kernel block instead of the full kernel
 
     @classmethod
-    def _reduce(cls, gram, moment, target_ss, family, size, trailing):
+    def _reduce(cls, gram, moment, target_ss, family, size):
         family = KernelFamily(family)
         if family is KernelFamily.TC:
             # S^T G S and S^T m are cumulative sums
@@ -307,7 +294,6 @@ class RidgeMarginal:
             target_ss=float(target_ss),
             family=family,
             size=size,
-            trailing=trailing,
         )
 
     @classmethod
@@ -323,21 +309,26 @@ class RidgeMarginal:
             design.v_tilde @ design.v_tilde,
             family,
             cov.order + 1,
-            trailing=False,
         )
 
     @classmethod
     def regression(cls, gram, moment, target_ss, b0_prelim, family: KernelFamily):
         """One-step-predictor regression X^T X, X^T y and y^T y with noise
         variance 1 / b0^2 and the root of the trailing n x n block of the
-        size-(n+1) kernel. The precision b0^2 is folded into the data: the
-        moment is scaled by b0 and the target by b0^2."""
+        size-(n+1) kernel, which is the size-(n+1) root without its first
+        scale. The precision b0^2 is folded into the data: the moment is
+        scaled by b0 and the target by b0^2. Raises InvalidOrderError at
+        order n = 0, which has no predictor weights."""
+        n = len(moment)
+        if n < 1:
+            raise InvalidOrderError("predictor regression needs order n >= 1")
         moment, target_ss = b0_prelim * moment, b0_prelim**2 * target_ss
-        return cls._reduce(gram, moment, target_ss, family, len(moment) + 1, trailing=True)
+        return cls._reduce(gram, moment, target_ss, family, n + 1)
 
     def _reduced(self, beta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Root scales c, A = B^T G B and w = B^T m at decay rate beta."""
-        c = root_scale(KernelSpec(self.family, beta, self.size), trailing=self.trailing)
+        c = root_scale(KernelSpec(self.family, beta, self.size))
+        c = c[self.size - self.reduced_moment.size :]  # the last m; c[-m:] is all of c at m = 0
         return c, c[:, None] * self.reduced_gram * c, c * self.reduced_moment
 
     def _score(self, s: np.ndarray, u2: np.ndarray, lam: np.ndarray) -> np.ndarray:
@@ -422,21 +413,21 @@ class RidgeMarginal:
 def kernel_me(
     design: WhittleDesign,
     cov: ToeplitzCovariance,
-    spec: KernelSpec,
+    family: KernelFamily,
     eta: Hyperparameters,
 ) -> PredictorPolynomial:
     """Kernel-regularized maximum-entropy estimate.
 
-    Minimizes ||v_tilde - Phi b||^2 + lam^{-1} ||b||^2_{K^{-1}}, which equals
+    The prior K is the size-(n+1) kernel of ``family`` at eta's beta, with n
+    the order of ``cov``. Minimizes
+    ||v_tilde - Phi b||^2 + lam^{-1} ||b||^2_{K^{-1}}, which equals
     b = b0_prelim^{-1} (Sigma + ((N - n) lam K)^{-1})^{-1} e_1; computed as
     the posterior mean of the search's own reduced form,
     :meth:`RidgeMarginal.posterior_mean` of :meth:`RidgeMarginal.whittle`.
     """
-    size = cov.order + 1
-    _check_kernel_args(spec, eta, size)
-    if design.phi_data.shape[0] != size:
+    if design.phi_data.shape[0] != cov.order + 1:
         raise InvalidOrderError("design and covariance sizes differ")
-    return PredictorPolynomial(RidgeMarginal.whittle(design, cov, spec.family).posterior_mean(eta))
+    return PredictorPolynomial(RidgeMarginal.whittle(design, cov, family).posterior_mean(eta))
 
 
 def lagged_gram(y: TimeSeries, n: int) -> np.ndarray:
@@ -463,16 +454,16 @@ def lagged_gram(y: TimeSeries, n: int) -> np.ndarray:
 
 
 def kernel_pem(
-    y: TimeSeries, gram: np.ndarray, spec: KernelSpec, eta: Hyperparameters
+    y: TimeSeries, gram: np.ndarray, family: KernelFamily, eta: Hyperparameters
 ) -> PredictorPolynomial:
     """Kernel-regularized one-step-predictor baseline.
 
     Fits predictor weights a minimizing
     sum_t (y_t - sum_k a_k y_{t-k})^2 + lam^{-1} a^T Kbar^{-1} a, where Kbar is
-    the trailing n x n principal block of the size-(n+1) kernel. The innovation
-    variance is the mean squared residual and the returned polynomial is
-    (1 - sum_k a_k z^{-k}) / sigma_hat. Unlike the maximum-entropy routes, the
-    result carries no minimum-phase guarantee.
+    the trailing n x n principal block of the size-(n+1) kernel of ``family``
+    at eta's beta. The innovation variance is the mean squared residual and
+    the returned polynomial is (1 - sum_k a_k z^{-k}) / sigma_hat. Unlike the
+    maximum-entropy routes, the result carries no minimum-phase guarantee.
 
     ``gram`` is :func:`lagged_gram` of ``y`` at order n = gram.shape[0] - 1.
     The weights a = (X^T X + (lam Kbar)^{-1})^{-1} X^T y come from its blocks
@@ -481,11 +472,10 @@ def kernel_pem(
     from filtering y with (1, -a) by ``np.convolve``, which is exact, O(N n)
     time and O(N) memory; the quadratic form in the Gram would cancel badly
     on nearly predictable series. Residuals that are all zero, as when only
-    the first n samples are nonzero, raise InvalidDataError.
+    the first n samples are nonzero, raise InvalidDataError; a 1 x 1 Gram
+    (order 0) raises InvalidOrderError.
     """
-    n = gram.shape[0] - 1
-    _check_kernel_args(spec, eta, n + 1)
-    ridge = RidgeMarginal.regression(gram[1:, 1:], gram[1:, 0], gram[0, 0], 1.0, spec.family)
+    ridge = RidgeMarginal.regression(gram[1:, 1:], gram[1:, 0], gram[0, 0], 1.0, family)
     a = ridge.posterior_mean(eta)
     predictor = np.concatenate(([1.0], -a))
     resid = np.convolve(y.samples, predictor, mode="valid")

@@ -41,7 +41,7 @@ from .estimators import (
     lagged_gram,
     preliminary_b0,
 )
-from .kernels import Hyperparameters, KernelFamily, KernelSpec
+from .kernels import Hyperparameters, KernelFamily
 
 _BETA_TOL = 1e-7  # absolute tolerance of the bounded Brent search over beta
 
@@ -220,17 +220,16 @@ def _step(name: str, fn, *args, **kwargs):
         raise PipelineError(name, str(exc)) from exc
 
 
-def _fit(route: str, family: KernelFamily, n: int, objective, solve, jitter=0.0):
+def _fit(route: str, family: KernelFamily, objective, solve, jitter=0.0):
     """Shared tail of both pipelines: search, coefficient solve, degrees of
     freedom and the result tagged ``<route>-<family>``, whose construction
     runs the root check.
 
-    ``solve(spec, eta)`` is the coefficient solve of ``route`` ("me" or
+    ``solve(family, eta)`` is the coefficient solve of ``route`` ("me" or
     "pem"); failures name the step ``hyperparameters`` or ``kernel_<route>``.
     """
     hyper = _step("hyperparameters", optimize_hyperparameters, objective)
-    spec = KernelSpec(family, hyper.eta_hat.beta, n + 1)
-    b_hat = _step(f"kernel_{route}", solve, spec, hyper.eta_hat)
+    b_hat = _step(f"kernel_{route}", solve, family, hyper.eta_hat)
     return EstimateResult(
         b_hat=b_hat,
         eta_hat=hyper.eta_hat,
@@ -270,7 +269,7 @@ def run_pipeline(
     design = _step("whittle_design", build_whittle_design, factor, b0, N, n)
     objective = _step("hyperparameters", RidgeMarginal.whittle, design, cov, kernel_family)
     solve = partial(kernel_me, design, cov)
-    return _fit("me", kernel_family, n, objective, solve, factor.jitter)
+    return _fit("me", kernel_family, objective, solve, factor.jitter)
 
 
 def run_pem_pipeline(
@@ -291,4 +290,4 @@ def run_pem_pipeline(
     gram = lagged_gram(y, n)
     moments = gram[1:, 1:], gram[1:, 0], gram[0, 0]
     objective = _step("hyperparameters", RidgeMarginal.regression, *moments, b0, kernel_family)
-    return _fit("pem", kernel_family, n, objective, partial(kernel_pem, y, gram))
+    return _fit("pem", kernel_family, objective, partial(kernel_pem, y, gram))

@@ -11,7 +11,9 @@ lower bidiagonal and D diagonal (:func:`inverse_factorization`), which gives
 the kernel root of :func:`root_scale`. The search, the coefficient solves and
 the degrees of freedom all work with that root; neither the dense kernel nor
 its inverse is formed. The kernel itself is very ill-conditioned for decay
-rates near one, while the root is benign.
+rates near one, while the root is benign. Kernel-PEM's prior K_bar, the
+trailing n x n block of the size-(n+1) kernel, has as its root the
+size-(n+1) root without its first scale.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidHyperparameterError, InvalidOrderError
+from .errors import InvalidHyperparameterError
 
 
 class KernelFamily(str, enum.Enum):
@@ -90,21 +92,16 @@ def inverse_factorization(spec: KernelSpec) -> KernelFactorization:
     return KernelFactorization(F=_bidiagonal_difference(size), d=d)
 
 
-def root_scale(spec: KernelSpec, trailing: bool = False) -> np.ndarray:
+def root_scale(spec: KernelSpec) -> np.ndarray:
     """Column scales c(beta) of the structured kernel root.
 
     The root is diag(c) for di and, for tc, the upper-triangular matrix of
     ones times diag(c), which follows from K^{-1} = F D F^T; it is well
-    conditioned for every beta in (0, 1), unlike the kernel. With
-    ``trailing`` the scales belong to the root of the trailing n x n block of
-    the size-(n+1) kernel, which equals beta times the size-n kernel of the
-    same family, so they are sqrt(beta) times the size-n scales.
+    conditioned for every beta in (0, 1), unlike the kernel. Dropping the
+    first row and column of either root leaves the same form in c[1:], the
+    root of the kernel's trailing principal block.
     """
     beta, size = spec.beta, spec.size
-    if trailing:
-        if size < 2:
-            raise InvalidOrderError("trailing block requires kernel size >= 2")
-        return np.sqrt(beta) * root_scale(KernelSpec(spec.family, beta, size - 1))
     if spec.family is KernelFamily.DI:
         return np.sqrt(beta ** np.arange(1, size + 1))
     return np.sqrt((beta - beta**2) * beta ** np.arange(size))

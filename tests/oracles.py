@@ -16,7 +16,6 @@ from kmaxent.estimators import (
     PredictorPolynomial,
     RidgeMarginal,
     WhittleDesign,
-    _check_kernel_args,
     _solve_spd,
     yule_walker,
 )
@@ -83,15 +82,16 @@ def scaled_inverse_R(spec: KernelSpec, lam: float, N: int, n: int) -> np.ndarray
 
 
 def dense_degrees_of_freedom(
-    cov: ToeplitzCovariance, spec: KernelSpec, eta: Hyperparameters, N: int
+    cov: ToeplitzCovariance, family: KernelFamily, eta: Hyperparameters, N: int
 ) -> float:
     """df = tr[(Sigma + R)^{-1} Sigma] by one dense Cholesky solve against Sigma."""
+    spec = KernelSpec(family, eta.beta, cov.order + 1)
     R = scaled_inverse_R(spec, eta.lam, N, cov.order)
     return float(np.trace(_solve_spd(cov.matrix + R, cov.matrix)))
 
 
 def kernel_me_regularized_ls(
-    design: WhittleDesign, spec: KernelSpec, eta: Hyperparameters
+    design: WhittleDesign, family: KernelFamily, eta: Hyperparameters
 ) -> PredictorPolynomial:
     """Algebraically equivalent closed form lam*K*Phi^T (lam*Phi*K*Phi^T + I)^{-1} v_tilde.
 
@@ -99,8 +99,7 @@ def kernel_me_regularized_ls(
     the two must agree to high relative accuracy on any valid input.
     """
     size = design.phi_data.shape[0]
-    _check_kernel_args(spec, eta, size)
-    K = kernel_matrix(spec)
+    K = kernel_matrix(KernelSpec(family, eta.beta, size))
     phi = design.phi_data
     M = eta.lam * (phi @ K @ phi.T) + np.eye(size)
     t = _solve_spd(M, design.v_tilde)
@@ -151,16 +150,10 @@ def square_root(spec: KernelSpec) -> np.ndarray:
 
 
 def trailing_block_root(spec: KernelSpec) -> np.ndarray:
-    """Factor B with kernel_matrix(spec)[1:, 1:] == B @ B.T exactly.
-
-    The trailing principal block of the size-(n+1) kernel equals beta times
-    the size-n kernel of the same family, so its root is sqrt(beta) times the
-    smaller structured root.
-    """
-    c = root_scale(spec, trailing=True)
-    if spec.family is KernelFamily.DI:
-        return np.diag(c)
-    return np.triu(np.tile(c, (c.size, 1)))
+    """Factor B with kernel_matrix(spec)[1:, 1:] == B @ B.T exactly: the
+    square root without its first row and column, which is diagonal for di
+    and upper triangular for tc."""
+    return square_root(spec)[1:, 1:]
 
 
 def direct_spectrum(coeffs: np.ndarray, grid_size: int) -> np.ndarray:

@@ -64,7 +64,7 @@ def test_criterion_01_minimum_phase_invariant():
         lam = float(10.0 ** rng.uniform(-3, 3))
         family = KernelFamily.DI if trial % 2 == 0 else KernelFamily.TC
         cov, design = whitened_setup(y, n)
-        b = kernel_me(design, cov, KernelSpec(family, beta, n + 1), Hyperparameters(lam, beta))
+        b = kernel_me(design, cov, family, Hyperparameters(lam, beta))
         ok, modulus = check_min_phase(b)
         worst = max(worst, modulus)
         if not ok:
@@ -84,8 +84,7 @@ def test_criterion_02_lambda_infinity_reduction():
             y = generate(random_arma(900 + index), 500, 1900 + index)
             index += 1
             cov, design = whitened_setup(y, n)
-            b = kernel_me(design, cov, KernelSpec(family, beta, n + 1),
-                          Hyperparameters(1e12, beta))
+            b = kernel_me(design, cov, family, Hyperparameters(1e12, beta))
             v = np.zeros(n + 1)
             v[0] = 1.0
             target = np.linalg.solve(cov.matrix, v) / design.b0_prelim
@@ -119,10 +118,9 @@ def test_criterion_04_closed_form_agreement():
         lam = float(10.0 ** rng.uniform(-3, 3))
         family = KernelFamily.DI if trial % 2 == 0 else KernelFamily.TC
         cov, design = whitened_setup(y, n)
-        spec = KernelSpec(family, beta, n + 1)
         eta = Hyperparameters(lam, beta)
-        b1 = kernel_me(design, cov, spec, eta)
-        b2 = kernel_me_regularized_ls(design, spec, eta)
+        b1 = kernel_me(design, cov, family, eta)
+        b2 = kernel_me_regularized_ls(design, family, eta)
         rel = np.linalg.norm(b1.coeffs - b2.coeffs) / np.linalg.norm(b1.coeffs)
         worst = max(worst, rel)
     report(4, "dual closed forms agree", worst <= 1e-8,
@@ -137,8 +135,7 @@ def test_criterion_05_degrees_of_freedom():
         for n in (10, 50):
             y = generate(random_arma(rng.integers(0, 2**63)), 500, rng.integers(0, 2**63))
             cov = build_toeplitz(estimate_lags(y, n))
-            spec = KernelSpec(family, 0.85, n + 1)
-            df = degrees_of_freedom(cov, spec, Hyperparameters(1e12, 0.85), 500)
+            df = degrees_of_freedom(cov, family, Hyperparameters(1e12, 0.85), 500)
             worst_limit = max(worst_limit, abs(df - (n + 1)))
     # (b) monotone in lambda, (c) bounded, over 50 instances x 20-point grid
     lam_grid = np.logspace(-6, 6, 20)
@@ -150,9 +147,8 @@ def test_criterion_05_degrees_of_freedom():
         cov = build_toeplitz(estimate_lags(y, n))
         beta = float(rng.uniform(0.1, 0.95))
         family = KernelFamily.DI if trial % 2 == 0 else KernelFamily.TC
-        spec = KernelSpec(family, beta, n + 1)
         dfs = np.array([
-            degrees_of_freedom(cov, spec, Hyperparameters(float(lam), beta), 300)
+            degrees_of_freedom(cov, family, Hyperparameters(float(lam), beta), 300)
             for lam in lam_grid
         ])
         monotone &= bool(np.all(np.diff(dfs) >= -1e-9))
@@ -286,7 +282,7 @@ def test_criterion_10_oracle_equivalence(benchmark_series):
     _, design = whitened_setup(y, 50)
     spec = KernelSpec(KernelFamily.DI, 0.85, 51)
     eta = Hyperparameters(1.0, 0.85)
-    b_km = kernel_me(design, cov, spec, eta)
+    b_km = kernel_me(design, cov, KernelFamily.DI, eta)
     K = kernel_matrix(spec)
     dense = np.linalg.solve(design.phi_data.T @ design.phi_data
                             + np.linalg.inv(K) / eta.lam,

@@ -5,22 +5,20 @@ from kmaxent.covariance import build_toeplitz, estimate_lags
 from kmaxent.diagnostics import degrees_of_freedom, shrinkage_df
 from kmaxent.errors import InvalidOrderError
 from kmaxent.hyperopt import run_pipeline
-from kmaxent.kernels import Hyperparameters, KernelFamily, KernelSpec
+from kmaxent.kernels import Hyperparameters, KernelFamily
 from kmaxent.simulate import generate, random_arma
 
 
 class TestDegreesOfFreedom:
     def test_no_regularization_limit(self, benchmark_setup):
         _, cov, _, _ = benchmark_setup
-        spec = KernelSpec(KernelFamily.DI, 0.85, cov.order + 1)
-        df = degrees_of_freedom(cov, spec, Hyperparameters(1e12, 0.85), 500)
+        df = degrees_of_freedom(cov, KernelFamily.DI, Hyperparameters(1e12, 0.85), 500)
         assert abs(df - (cov.order + 1)) <= 1e-4
 
     def test_full_shrinkage_limit(self, benchmark_setup):
         _, cov, _, _ = benchmark_setup
         for family in KernelFamily:
-            spec = KernelSpec(family, 0.85, cov.order + 1)
-            df = degrees_of_freedom(cov, spec, Hyperparameters(1e-12, 0.85), 500)
+            df = degrees_of_freedom(cov, family, Hyperparameters(1e-12, 0.85), 500)
             assert 0.0 <= df <= 1e-4
 
     def test_identity_covariance_closed_form(self):
@@ -30,8 +28,7 @@ class TestDegreesOfFreedom:
         lags = np.zeros(n + 1)
         lags[0] = 1.0
         cov = build_toeplitz(lags)
-        spec = KernelSpec(KernelFamily.DI, beta, n + 1)
-        df = degrees_of_freedom(cov, spec, Hyperparameters(lam, beta), N)
+        df = degrees_of_freedom(cov, KernelFamily.DI, Hyperparameters(lam, beta), N)
         k = np.arange(1, n + 2)
         expected = np.sum(1.0 / (1.0 + 1.0 / ((N - n) * lam * beta**k)))
         assert abs(df - expected) <= 1e-10
@@ -46,10 +43,9 @@ class TestDegreesOfFreedom:
             cov = build_toeplitz(estimate_lags(y, n))
             beta = float(rng.uniform(0.1, 0.95))
             family = KernelFamily.DI if trial % 2 == 0 else KernelFamily.TC
-            spec = KernelSpec(family, beta, n + 1)
             dfs = np.array(
                 [
-                    degrees_of_freedom(cov, spec, Hyperparameters(float(l), beta), 300)
+                    degrees_of_freedom(cov, family, Hyperparameters(float(l), beta), 300)
                     for l in lam_grid
                 ]
             )
@@ -60,14 +56,12 @@ class TestDegreesOfFreedom:
         y, cov, _, _ = benchmark_setup
         for family in KernelFamily:
             result = run_pipeline(y, cov.order, family)
-            spec = KernelSpec(family, result.eta_hat.beta, cov.order + 1)
-            assert degrees_of_freedom(cov, spec, result.eta_hat, y.n_samples) == result.df
+            assert degrees_of_freedom(cov, family, result.eta_hat, y.n_samples) == result.df
 
     def test_rejects_n_not_less_than_N(self, benchmark_setup):
         _, cov, _, _ = benchmark_setup
-        spec = KernelSpec(KernelFamily.DI, 0.5, cov.order + 1)
         with pytest.raises(InvalidOrderError):
-            degrees_of_freedom(cov, spec, Hyperparameters(1.0, 0.5), cov.order)
+            degrees_of_freedom(cov, KernelFamily.DI, Hyperparameters(1.0, 0.5), cov.order)
 
 
 class TestShrinkageDf:

@@ -204,8 +204,7 @@ class TestKernelMe:
         a = np.linalg.solve(cov.matrix, v)
         for family in KernelFamily:
             eta = Hyperparameters(1e12, 0.85)
-            spec = KernelSpec(family, 0.85, cov.order + 1)
-            b = kernel_me(design, cov, spec, eta)
+            b = kernel_me(design, cov, family, eta)
             target = a / design.b0_prelim
             rel = np.linalg.norm(b.coeffs - target) / np.linalg.norm(target)
             assert rel <= 1e-4, (family, rel)
@@ -213,8 +212,7 @@ class TestKernelMe:
     def test_lambda_zero_shrinks_to_nothing(self, benchmark_setup):
         _, cov, _, design = benchmark_setup
         eta = Hyperparameters(1e-12, 0.85)
-        spec = KernelSpec(KernelFamily.TC, 0.85, cov.order + 1)
-        b = kernel_me(design, cov, spec, eta)
+        b = kernel_me(design, cov, KernelFamily.TC, eta)
         assert np.linalg.norm(b.coeffs) < 1e-6
 
     def test_matches_dense_normal_equations_oracle(self, benchmark_setup):
@@ -224,9 +222,8 @@ class TestKernelMe:
         ]
         for family, lam, beta, tol in cases:
             eta = Hyperparameters(lam, beta)
-            spec = KernelSpec(family, beta, cov.order + 1)
-            b = kernel_me(design, cov, spec, eta)
-            K = kernel_matrix(spec)
+            b = kernel_me(design, cov, family, eta)
+            K = kernel_matrix(KernelSpec(family, beta, cov.order + 1))
             phi, vt = design.phi_data, design.v_tilde
             oracle = np.linalg.solve(
                 phi.T @ phi + np.linalg.inv(K) / eta.lam, phi.T @ vt
@@ -244,10 +241,9 @@ class TestKernelMe:
             cases.append((KernelFamily.DI if rng.random() < 0.5 else KernelFamily.TC, lam, beta))
         cases += [(family, lam, beta) for family in KernelFamily for lam, beta in BOX_CORNERS]
         for family, lam, beta in cases:
-            spec = KernelSpec(family, beta, cov.order + 1)
             eta = Hyperparameters(lam, beta)
-            b1 = kernel_me(design, cov, spec, eta)
-            b2 = kernel_me_regularized_ls(design, spec, eta)
+            b1 = kernel_me(design, cov, family, eta)
+            b2 = kernel_me_regularized_ls(design, family, eta)
             rel = np.linalg.norm(b1.coeffs - b2.coeffs) / np.linalg.norm(b1.coeffs)
             assert rel <= 1e-8, (family, lam, beta, rel)
 
@@ -257,14 +253,13 @@ class TestKernelMe:
         # their prior variance (lambda) must be rescaled by 1/c^2
         c = 3.7
         N, n, lam, beta = benchmark_series.n_samples, 20, 0.8, 0.7
-        spec = KernelSpec(KernelFamily.TC, beta, n + 1)
 
         def fit(samples, lam_value):
             y = TimeSeries(samples)
             b0 = preliminary_b0(y, 4)
             cov = build_toeplitz(estimate_lags(y, n))
             design = build_whittle_design(cholesky(cov), b0, N, n)
-            return kernel_me(design, cov, spec, Hyperparameters(lam_value, beta))
+            return kernel_me(design, cov, KernelFamily.TC, Hyperparameters(lam_value, beta))
 
         base = fit(benchmark_series.samples, lam)
         scaled = fit(c * benchmark_series.samples, lam / c**2)
@@ -274,11 +269,10 @@ class TestKernelMe:
         _, cov, _, design = benchmark_setup
         beta = 0.8
         for family in KernelFamily:
-            spec = KernelSpec(family, beta, cov.order + 1)
-            fac = inverse_factorization(spec)
+            fac = inverse_factorization(KernelSpec(family, beta, cov.order + 1))
             norms = []
             for lam in np.logspace(-3, 3, 13):
-                b = kernel_me(design, cov, spec, Hyperparameters(lam, beta))
+                b = kernel_me(design, cov, family, Hyperparameters(lam, beta))
                 w = fac.F.T @ b.coeffs
                 norms.append(float(w @ (fac.d * w)))
             norms = np.array(norms)
@@ -290,8 +284,7 @@ class TestKernelPem:
         rng = np.random.default_rng(2)
         y = TimeSeries(1.3 * rng.standard_normal(2000))
         n = 10
-        spec = KernelSpec(KernelFamily.DI, 0.8, n + 1)
-        b = kernel_pem(y, lagged_gram(y, n), spec, Hyperparameters(1e-12, 0.8))
+        b = kernel_pem(y, lagged_gram(y, n), KernelFamily.DI, Hyperparameters(1e-12, 0.8))
         assert np.all(np.abs(b.coeffs[1:]) < 1e-8)
         _, target = lagged_design(y, n)
         assert abs(b.coeffs[0] - 1.0 / np.sqrt(np.mean(target**2))) < 1e-9
@@ -299,8 +292,7 @@ class TestKernelPem:
     def test_ar1_consistency_with_weak_penalty(self):
         y = ar_series([0.5], 10_000, 9)
         n = 5
-        spec = KernelSpec(KernelFamily.TC, 0.8, n + 1)
-        b = kernel_pem(y, lagged_gram(y, n), spec, Hyperparameters(1e6, 0.8))
+        b = kernel_pem(y, lagged_gram(y, n), KernelFamily.TC, Hyperparameters(1e6, 0.8))
         a1 = -b.coeffs[1] / b.coeffs[0]
         assert abs(a1 - 0.5) < 0.05
 
@@ -317,9 +309,9 @@ class TestKernelPem:
             r = target - X @ a
             return r @ r + (a @ kbar_inv @ a) / lam
 
-        b_pem = kernel_pem(y, lagged_gram(y, n), spec, eta)
+        b_pem = kernel_pem(y, lagged_gram(y, n), KernelFamily.TC, eta)
         a_pem = -b_pem.coeffs[1:] / b_pem.coeffs[0]
-        b_me = kernel_me(design, cov, spec, eta)
+        b_me = kernel_me(design, cov, KernelFamily.TC, eta)
         a_me = -b_me.coeffs[1:] / b_me.coeffs[0]
         assert objective(a_pem) <= objective(a_me)
 
@@ -330,7 +322,7 @@ class TestKernelPem:
             for lam, beta, tol in cases:
                 spec = KernelSpec(family, beta, n + 1)
                 gram = lagged_gram(benchmark_series, n)
-                b = kernel_pem(benchmark_series, gram, spec, Hyperparameters(lam, beta))
+                b = kernel_pem(benchmark_series, gram, family, Hyperparameters(lam, beta))
                 X, target = lagged_design(benchmark_series, n)
                 kbar_inv = np.linalg.inv(kernel_matrix(spec)[1:, 1:])
                 a = np.linalg.solve(X.T @ X + kbar_inv / lam, X.T @ target)
@@ -348,7 +340,7 @@ class TestKernelPem:
         n = 50
         gram = lagged_gram(benchmark_series, n)
         spec = KernelSpec(family, beta, n + 1)
-        b = kernel_pem(benchmark_series, gram, spec, Hyperparameters(lam, beta))
+        b = kernel_pem(benchmark_series, gram, family, Hyperparameters(lam, beta))
         B = trailing_block_root(spec)
         M = np.eye(n) + lam * (B.T @ gram[1:, 1:] @ B)
         a = lam * (B @ np.linalg.solve(M, B.T @ gram[1:, 0]))
@@ -360,9 +352,8 @@ class TestKernelPem:
 
     def test_rejects_short_series(self):
         y = TimeSeries(np.arange(20.0))
-        spec = KernelSpec(KernelFamily.DI, 0.5, 11)
         with pytest.raises(InvalidOrderError):
-            kernel_pem(y, lagged_gram(y, 10), spec, Hyperparameters(1.0, 0.5))
+            kernel_pem(y, lagged_gram(y, 10), KernelFamily.DI, Hyperparameters(1.0, 0.5))
 
 
 def assert_gram_matches_dense(y, n):
@@ -406,8 +397,7 @@ class TestLaggedGram:
             t = np.arange(2000)
             y = TimeSeries(np.sin(0.3 * t) + 1e-6 * rng.standard_normal(t.size))
         n = 12
-        spec = KernelSpec(KernelFamily.TC, 0.8, n + 1)
-        b = kernel_pem(y, lagged_gram(y, n), spec, Hyperparameters(1e3, 0.8))
+        b = kernel_pem(y, lagged_gram(y, n), KernelFamily.TC, Hyperparameters(1e3, 0.8))
         a = -b.coeffs[1:] / b.coeffs[0]
         X, target = lagged_design(y, n)
         resid = target - X @ a

@@ -14,7 +14,14 @@ from kmaxent.errors import (
     NotPositiveDefiniteError,
     PipelineError,
 )
-from kmaxent.estimators import Method, build_whittle_design, lagged_gram, preliminary_b0
+from kmaxent.estimators import (
+    Method,
+    build_whittle_design,
+    kernel_me,
+    kernel_pem,
+    lagged_gram,
+    preliminary_b0,
+)
 from kmaxent.harness import ExperimentConfig, estimate_file, fit_method
 from kmaxent.hyperopt import (
     PipelineConfig,
@@ -208,8 +215,7 @@ class TestRidgeMarginalCore:
     def test_me_df_matches_dense_degrees_of_freedom(self, family, benchmark_setup):
         y, cov, _, _ = benchmark_setup
         result = run_pipeline(y, 50, family)
-        spec = KernelSpec(family, result.eta_hat.beta, 51)
-        expected = dense_degrees_of_freedom(cov, spec, result.eta_hat, y.n_samples)
+        expected = dense_degrees_of_freedom(cov, family, result.eta_hat, y.n_samples)
         assert abs(result.df - expected) <= 1e-12 * expected
 
 
@@ -379,6 +385,18 @@ class TestRunPipeline:
         with pytest.raises(PipelineError) as exc_info:
             run_pipeline(y, 10, KernelFamily.DI)
         assert exc_info.value.step == "preliminary_b0"
+
+    @pytest.mark.parametrize("family", list(KernelFamily))
+    def test_coefficients_are_the_public_steps(self, family, benchmark_setup):
+        # each pipeline's coefficients are its public solve step at eta_hat
+        y, cov, _, design = benchmark_setup
+        me = run_pipeline(y, 50, family)
+        assert me.jitter_used == 0.0  # so the fixture's design is the pipeline's
+        expected = kernel_me(design, cov, family, me.eta_hat)
+        assert np.array_equal(me.b_hat.coeffs, expected.coeffs)
+        pem = run_pem_pipeline(y, 50, family)
+        expected = kernel_pem(y, lagged_gram(y, 50), family, pem.eta_hat)
+        assert np.array_equal(pem.b_hat.coeffs, expected.coeffs)
 
     @pytest.mark.parametrize("method", KERNEL_METHODS)
     def test_pipeline_runs_and_tags(self, method, benchmark_series):

@@ -3,8 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kmaxent.covariance import TimeSeries
 from kmaxent.errors import InvalidHyperparameterError, InvalidOrderError
-from kmaxent.kernels import Hyperparameters, KernelFamily, KernelSpec, inverse_factorization
+from kmaxent.estimators import RidgeMarginal, kernel_pem
+from kmaxent.kernels import (
+    Hyperparameters,
+    KernelFamily,
+    KernelSpec,
+    inverse_factorization,
+    root_scale,
+)
 from oracles import kernel_matrix, scaled_inverse_R, square_root, trailing_block_root
 
 
@@ -114,10 +122,24 @@ class TestSquareRoots:
         for beta in (1e-12, 1.0 - 1e-12):
             B = trailing_block_root(KernelSpec(KernelFamily.TC, beta, 51))
             assert np.all(np.isfinite(B))
+            # the trailing block is beta times the size-n kernel, so the tail
+            # of the size-(n+1) scales is sqrt(beta) times the size-n scales;
+            # relative in norm, as at 1e-12 the scales past the 25th underflow
+            for family in KernelFamily:
+                tail = root_scale(KernelSpec(family, beta, 51))[1:]
+                scaled = np.sqrt(beta) * root_scale(KernelSpec(family, beta, 50))
+                rel = np.linalg.norm(tail - scaled) / np.linalg.norm(scaled)
+                assert rel <= 1e-15, (family, beta, rel)
 
     def test_trailing_block_requires_size_two(self):
-        with pytest.raises(InvalidOrderError):
-            trailing_block_root(KernelSpec(KernelFamily.DI, 0.5, 1))
+        # kernel-PEM at order 0 has no trailing block and no weights to fit
+        y = TimeSeries(np.arange(20.0))
+        gram = np.array([[y.samples @ y.samples]])
+        for family in KernelFamily:
+            with pytest.raises(InvalidOrderError):
+                kernel_pem(y, gram, family, Hyperparameters(1.0, 0.5))
+            with pytest.raises(InvalidOrderError):
+                RidgeMarginal.regression(gram[1:, 1:], gram[1:, 0], gram[0, 0], 1.0, family)
 
 
 class TestSampledDecay:
