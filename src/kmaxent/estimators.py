@@ -450,7 +450,7 @@ def lagged_gram(y: TimeSeries, n: int) -> np.ndarray:
     windows = np.lib.stride_tricks.sliding_window_view
     H = windows(np.concatenate((pad, s[:n])), n + 1)[:, ::-1]
     T = windows(np.concatenate((s[N - n :], pad)), n + 1)[:, ::-1]
-    return scipy.linalg.toeplitz(y.lag_sums(n)) - (H.T @ H + T.T @ T)
+    return build_toeplitz(y.lag_sums(n)).matrix - (H.T @ H + T.T @ T)
 
 
 def kernel_pem(

@@ -19,7 +19,7 @@ import time
 import urllib.parse
 import warnings
 from array import array
-from dataclasses import dataclass, fields, replace
+from dataclasses import astuple, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -105,7 +105,11 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class TrialRecord:
-    """One (run, method) outcome; metric fields are None when the fit failed."""
+    """One (run, method) outcome; metric fields are None when the fit failed.
+
+    The fields follow ``RECORD_COLUMNS``, with the wall time last, so a
+    record is written as its field tuple.
+    """
 
     run_index: int
     method: Method
@@ -116,8 +120,8 @@ class TrialRecord:
     min_phase_verified: bool | None = None
     max_root_modulus: float | None = None
     chosen_n: int | None = None
-    wall_time_ms: float | None = None
     error: str | None = None
+    wall_time_ms: float | None = None
 
 
 def trial_seed(master_seed: int, run_index: int, stream: int) -> np.random.SeedSequence:
@@ -142,49 +146,60 @@ def fit_method(method: Method, y: TimeSeries, cfg: ExperimentConfig) -> Estimate
     return pipeline(y, cfg.n, KernelFamily(family), cfg.low_order)
 
 
-def _record_from_result(
-    run_index: int, method: Method, result: EstimateResult, error: float, elapsed_ms: float
-) -> TrialRecord:
-    return TrialRecord(
-        run_index=run_index,
-        method=method,
-        reconstruction_error=error,
-        df=result.df,
-        lam=result.eta_hat.lam if result.eta_hat is not None else None,
-        beta=result.eta_hat.beta if result.eta_hat is not None else None,
-        min_phase_verified=result.min_phase_verified,
-        max_root_modulus=result.max_root_modulus,
-        chosen_n=result.chosen_n,
-        wall_time_ms=elapsed_ms,
-    )
+def _outcome(result: EstimateResult) -> dict:
+    """The fit's fields that records and ``result.json`` share, in
+    ``RECORD_COLUMNS`` order; lambda and beta are None for ``me``."""
+    eta = result.eta_hat
+    return {
+        "df": result.df,
+        "lambda": None if eta is None else eta.lam,
+        "beta": None if eta is None else eta.beta,
+        "min_phase": result.min_phase_verified,
+        "max_root_modulus": result.max_root_modulus,
+        "chosen_n": result.chosen_n,
+    }
 
 
-def _run_trial(
-    run_index: int, model: ArmaModel, y: TimeSeries, cfg: ExperimentConfig
-) -> tuple[list[TrialRecord], dict[str, np.ndarray]]:
-    """Fit every method and score it against the true spectrum.
+def _fits(y: TimeSeries, cfg: ExperimentConfig):
+    """Fit each of ``cfg.methods`` to ``y``, in canonical order.
 
-    Returns the records and the spectra on the grid: ``truth``, evaluated
-    once for the trial, then one column per successful method.
+    Yields ``(method, result, spectrum, elapsed_ms, error)``: the fit, its
+    spectrum on the grid and the wall time of the fit alone, with error None;
+    or, when the fit raised a KmaxentError, None for those and its message.
     """
-    truth = eval_spectrum(SpectrumModel(model), cfg.grid_size)
-    records: list[TrialRecord] = []
-    spectra = {"truth": truth}
     for method in cfg.methods:
         start = time.perf_counter()
         try:
             result = fit_method(method, y, cfg)
         except KmaxentError as exc:
-            records.append(TrialRecord(run_index=run_index, method=method, error=str(exc)))
+            yield method, None, None, None, str(exc)
             continue
         elapsed_ms = (time.perf_counter() - start) * 1e3
-        estimate = eval_spectrum(SpectrumModel(result.b_hat), cfg.grid_size)
-        spectra[method.value] = estimate
-        records.append(
-            _record_from_result(
-                run_index, method, result, spectrum_error(estimate, truth), elapsed_ms
-            )
-        )
+        spectrum = eval_spectrum(SpectrumModel(result.b_hat), cfg.grid_size)
+        yield method, result, spectrum, elapsed_ms, None
+
+
+def _run_trial(
+    run_index: int, model: ArmaModel, cfg: ExperimentConfig
+) -> tuple[list[TrialRecord], dict[str, np.ndarray]]:
+    """Simulate the trial's series from ``model``, fit every method and
+    score it against the true spectrum.
+
+    Returns the records and the spectra on the grid: ``truth``, evaluated
+    once for the trial, then one column per successful method.
+    """
+    y = generate(model, cfg.N, trial_seed(cfg.master_seed, run_index, 1), cfg.burn_in)
+    truth = eval_spectrum(SpectrumModel(model), cfg.grid_size)
+    records: list[TrialRecord] = []
+    spectra = {"truth": truth}
+    for method, result, spectrum, elapsed_ms, error in _fits(y, cfg):
+        if error is not None:
+            records.append(TrialRecord(run_index, method, error=error))
+            continue
+        spectra[method.value] = spectrum
+        recon = spectrum_error(spectrum, truth)
+        outcome = _outcome(result).values()
+        records.append(TrialRecord(run_index, method, recon, *outcome, wall_time_ms=elapsed_ms))
     return records, spectra
 
 
@@ -195,9 +210,7 @@ def run_single_trial(cfg: ExperimentConfig) -> list[TrialRecord]:
     method) and ``records.csv`` under ``cfg.output_path`` when it is set, and
     returns the records.
     """
-    model = benchmark_arma()
-    y = generate(model, cfg.N, trial_seed(cfg.master_seed, 0, 1), cfg.burn_in)
-    records, spectra = _run_trial(0, model, y, cfg)
+    records, spectra = _run_trial(0, benchmark_arma(), cfg)
     if cfg.output_path is not None:
         out = Path(cfg.output_path)
         out.mkdir(parents=True, exist_ok=True)
@@ -222,17 +235,14 @@ def run_monte_carlo(cfg: ExperimentConfig) -> tuple[list[TrialRecord], dict]:
             pairs=cfg.pairs,
             max_phase_gap=cfg.max_phase_gap,
         )
-        y = generate(model, cfg.N, trial_seed(cfg.master_seed, run_index, 1), cfg.burn_in)
-        trial_records, _ = _run_trial(run_index, model, y, cfg)
+        trial_records, _ = _run_trial(run_index, model, cfg)
         records.extend(trial_records)
     summary = summarize(records, cfg)
     if cfg.output_path is not None:
         out = Path(cfg.output_path)
         out.mkdir(parents=True, exist_ok=True)
         write_records(out / "records.csv", records, cfg.include_timings)
-        with open(out / "summary.json", "w") as fh:
-            json.dump(summary, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        _write_json(out / "summary.json", summary)
     return records, summary
 
 
@@ -296,31 +306,20 @@ def estimate_file(cfg: ExperimentConfig, input_path: str | os.PathLike) -> dict:
     """
     y = TimeSeries(_read_sample_column(input_path))
     adjusted = replace(cfg, N=y.n_samples)
-    document: dict = {"n_samples": y.n_samples, "n": cfg.n, "methods": {}}
+    methods: dict[str, dict] = {}
     spectra: dict[str, np.ndarray] = {}
-    for method in adjusted.methods:
-        try:
-            result = fit_method(method, y, adjusted)
-        except KmaxentError as exc:
-            document["methods"][method.value] = {"error": str(exc)}
+    for method, result, spectrum, _, error in _fits(y, adjusted):
+        if error is not None:
+            methods[method.value] = {"error": error}
             continue
-        document["methods"][method.value] = {
-            "coefficients": [float(c) for c in result.b_hat.coeffs],
-            "lambda": result.eta_hat.lam if result.eta_hat is not None else None,
-            "beta": result.eta_hat.beta if result.eta_hat is not None else None,
-            "df": result.df,
-            "min_phase": result.min_phase_verified,
-            "max_root_modulus": result.max_root_modulus,
-            "chosen_n": result.chosen_n,
-            "error": None,
-        }
-        spectra[method.value] = eval_spectrum(SpectrumModel(result.b_hat), adjusted.grid_size)
+        coefficients = [float(c) for c in result.b_hat.coeffs]
+        methods[method.value] = {"coefficients": coefficients, **_outcome(result), "error": None}
+        spectra[method.value] = spectrum
+    document = {"n_samples": y.n_samples, "n": cfg.n, "methods": methods}
     if cfg.output_path is not None:
         out = Path(cfg.output_path)
         out.mkdir(parents=True, exist_ok=True)
-        with open(out / "result.json", "w") as fh:
-            json.dump(document, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        _write_json(out / "result.json", document)
         _write_spectra(out / "spectrum.csv", adjusted.grid_size, spectra)
     return document
 
@@ -343,16 +342,18 @@ _DATASOURCE_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
 def _read_in_bulk(path: str) -> np.ndarray | None:
     """The samples, or None when the row rule must read the file.
 
-    Row 1 is read here: a byte-order mark is dropped, and a blank row, the
-    header ``y`` or a plain value lets rows 2 and on go to one
-    ``np.loadtxt``. A quote or a comma in row 1, a row that loadtxt rejects
-    or warns about, a second column and an empty remainder all return None.
-    loadtxt gets the path, not the open file: from a file object it reads
-    line by line at Python speed. So the file is opened twice, and only a
-    regular file reads the same both times: a pipe or FIFO loses what the
-    first open buffered, so it is left to the row rule, unopened.
+    The file is read as UTF-8 with one byte-order mark dropped. Row 1 is
+    peeked at only to skip the header ``y``; every other row goes to one
+    ``np.loadtxt``. A row that loadtxt rejects or warns about, a second
+    column and a file without values all return None. loadtxt gets the
+    path, not the open file: from a file object it reads line by line at
+    Python speed. So the file is opened twice, and only a regular file
+    reads the same both times: a pipe or FIFO loses what the first open
+    buffered, so it is left to the row rule, unopened.
     Whitespace separates loadtxt's cells, so a row of whitespace is a blank
-    row to it as to the row rule, and a comma fails its conversion.
+    row to it as to the row rule, and a quote or a comma fails its
+    conversion. So does a value that float() alone takes, such as ``1_0``;
+    the row rule then reads it, to the same value.
     """
     url = urllib.parse.urlparse(path)
     if path.lower().endswith(_DATASOURCE_SUFFIXES) or (url.scheme and url.netloc):
@@ -360,30 +361,22 @@ def _read_in_bulk(path: str) -> np.ndarray | None:
     if not os.path.isfile(path):
         return None
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            first = fh.readline().removeprefix("\ufeff")
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            header = fh.readline().strip().lower() == "y"
     except (OSError, UnicodeDecodeError):
         return None
-    if '"' in first or "," in first:
-        return None
-    head: list[float] = []
-    if first.strip().lower() not in ("", "y"):
-        try:
-            head.append(float(first))
-        except ValueError:
-            return None
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rest = np.loadtxt(
-                path, skiprows=1, dtype=float, comments=None, delimiter=None,
-                quotechar=None, ndmin=2, encoding="utf-8",
+            values = np.loadtxt(
+                path, skiprows=int(header), dtype=float, comments=None, delimiter=None,
+                quotechar=None, ndmin=2, encoding="utf-8-sig",
             )
     except (ValueError, Warning):
         return None
-    if rest.shape[1] != 1 or rest.size == 0:
+    if values.shape[1] != 1 or values.size == 0:
         return None
-    return np.concatenate((head, rest[:, 0])) if head else rest[:, 0]
+    return values[:, 0]
 
 
 def _read_rows(path: str) -> np.ndarray:
@@ -448,22 +441,13 @@ def write_records(path, records: list[TrialRecord], include_timings: bool = Fals
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
-        for r in ordered:
-            row = [
-                r.run_index,
-                r.method,
-                r.reconstruction_error,
-                r.df,
-                r.lam,
-                r.beta,
-                r.min_phase_verified,
-                r.max_root_modulus,
-                r.chosen_n,
-                r.error,
-            ]
-            if include_timings:
-                row.append(r.wall_time_ms)
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows([_fmt(v) for v in astuple(r)[: len(columns)]] for r in ordered)
+
+
+def _write_json(path, document: dict) -> None:
+    with open(path, "w") as fh:
+        json.dump(document, fh, sort_keys=True, indent=2)
+        fh.write("\n")
 
 
 def _write_spectra(path, grid_size: int, columns: dict[str, np.ndarray]) -> None:

@@ -6,9 +6,10 @@ tuned-correlated kernel ("tc") that additionally couples neighbouring
 coefficients. Entries follow the 1-based index convention (t, s = 1..n+1);
 storage is 0-based with the exponent offset applied explicitly.
 
-The tc kernel admits an exact inverse factorization K^{-1} = F D F^T with F
-lower bidiagonal and D diagonal (:func:`inverse_factorization`), which gives
-the kernel root of :func:`root_scale`. The search, the coefficient solves and
+The tc kernel has the structured root S diag(c), S upper triangular of ones
+(:func:`root_scale`), which gives its exact inverse factorization
+K^{-1} = F D F^T with F lower bidiagonal and D diagonal
+(:func:`inverse_factorization`). The search, the coefficient solves and
 the degrees of freedom all work with that root; neither the dense kernel nor
 its inverse is formed. The kernel itself is very ill-conditioned for decay
 rates near one, while the root is benign. Kernel-PEM's prior K_bar, the
@@ -79,27 +80,28 @@ def _bidiagonal_difference(size: int) -> np.ndarray:
 
 
 def inverse_factorization(spec: KernelSpec) -> KernelFactorization:
-    """Structured inverse K^{-1} = F diag(d) F^T.
+    """Structured inverse K^{-1} = F diag(d) F^T, read off the kernel root.
 
-    For di, F is the identity and d_k = beta^{-k} (k = 1..n+1). For tc, F is
-    lower bidiagonal (1 on the diagonal, -1 below) and
-    d_k = 1 / ((beta - beta^2) * beta^{k-1}).
+    The root S diag(c) of :func:`root_scale` (S = I for di) gives F = S^{-T}
+    and d = c^{-2}: for di the identity and d_k = beta^{-k}; for tc, F lower
+    bidiagonal (1 on the diagonal, -1 below) and d_k = 1 / ((beta - beta^2)
+    * beta^{k-1}), k = 1..n+1.
     """
-    beta, size = spec.beta, spec.size
-    if spec.family is KernelFamily.DI:
-        return KernelFactorization(F=np.eye(size), d=beta ** -np.arange(1, size + 1))
-    d = 1.0 / ((beta - beta**2) * beta ** np.arange(size))
-    return KernelFactorization(F=_bidiagonal_difference(size), d=d)
+    size = spec.size
+    F = np.eye(size) if spec.family is KernelFamily.DI else _bidiagonal_difference(size)
+    return KernelFactorization(F=F, d=root_scale(spec) ** -2)
 
 
 def root_scale(spec: KernelSpec) -> np.ndarray:
     """Column scales c(beta) of the structured kernel root.
 
-    The root is diag(c) for di and, for tc, the upper-triangular matrix of
-    ones times diag(c), which follows from K^{-1} = F D F^T; it is well
-    conditioned for every beta in (0, 1), unlike the kernel. Dropping the
-    first row and column of either root leaves the same form in c[1:], the
-    root of the kernel's trailing principal block.
+    The root is diag(c) for di and, for tc, the upper-triangular matrix S of
+    ones times diag(c), with c_k^2 = beta^k for di and
+    (beta - beta^2) beta^{k-1} for tc (k = 1..n+1): the tc entry
+    beta^{max(t, s)} - beta^{n+2} is the sum of c_k^2 over k >= max(t, s).
+    The root is well conditioned for every beta in (0, 1), unlike the
+    kernel. Dropping the first row and column of either root leaves the
+    same form in c[1:], the root of the kernel's trailing principal block.
     """
     beta, size = spec.beta, spec.size
     if spec.family is KernelFamily.DI:

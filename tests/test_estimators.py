@@ -194,6 +194,9 @@ class TestWhittleDesign:
             build_whittle_design(factor, 0.0, 6, 2)
         with pytest.raises(InvalidOrderError):
             build_whittle_design(factor, 1.0, 10, 4)  # size mismatch
+        design, cov = build_whittle_design(factor, 1.0, 6, 2), build_toeplitz([1.0, 0.5])
+        with pytest.raises(InvalidOrderError, match="design and covariance sizes differ"):
+            kernel_me(design, cov, KernelFamily.DI, Hyperparameters(1.0, 0.5))
 
 
 class TestKernelMe:

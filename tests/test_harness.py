@@ -100,6 +100,19 @@ class TestSingleTrial:
         assert all(r.min_phase_verified for r in records)
         assert all(r.lam is not None and r.beta is not None for r in records)
 
+    def test_records_hold_the_fit_outcomes(self):
+        cfg = ExperimentConfig(methods=(Method.ME, Method.PEM_TC), N=200, n=10, master_seed=6)
+        y = generate(benchmark_arma(), cfg.N, harness.trial_seed(cfg.master_seed, 0, 1))
+        for record in run_single_trial(cfg):
+            result = fit_method(record.method, y, cfg)
+            eta = result.eta_hat
+            assert (record.df, record.lam, record.beta) == (
+                result.df, eta and eta.lam, eta and eta.beta
+            )
+            assert (record.min_phase_verified, record.max_root_modulus, record.chosen_n) == (
+                result.min_phase_verified, result.max_root_modulus, result.chosen_n
+            )
+
     def test_me_df_is_chosen_order_plus_one(self):
         cfg = ExperimentConfig(methods=(Method.ME,), N=200, n=10, master_seed=3)
         records = run_single_trial(cfg)
@@ -185,6 +198,32 @@ class TestMonteCarlo:
         assert summary["methods"]["me-di"]["failures"] == 2
         assert summary["methods"]["me"]["count"] == 2
 
+    def test_timings_column_is_last_and_empty_for_failed_fits(self, monkeypatch, tmp_path):
+        original = harness.fit_method
+
+        def failing_me_di(method, y, cfg):
+            if method is Method.ME_DI:
+                raise KmaxentError("forced failure")
+            return original(method, y, cfg)
+
+        monkeypatch.setattr(harness, "fit_method", failing_me_di)
+        rows = {}
+        for timings in (False, True):
+            out = tmp_path / str(timings)
+            cfg = ExperimentConfig(
+                methods=(Method.ME, Method.ME_DI), N=200, n=10, runs=2, master_seed=1,
+                grid_size=64, include_timings=timings, output_path=str(out),
+            )
+            run_monte_carlo(cfg)
+            rows[timings] = read_csv(out / "records.csv")
+        assert rows[True][0] == list(harness.RECORD_COLUMNS) + ["wall_time_ms"]
+        assert [row[:-1] for row in rows[True]] == rows[False]
+        assert [row[1] for row in rows[True][1:]] == ["me", "me-di"] * 2
+        for row in rows[True][1:]:
+            if row[1] == "me-di":
+                assert row[-2:] == ["forced failure", ""]
+            else:
+                assert float(row[-1]) > 0.0
 
     def test_one_root_solve_per_fit_and_one_truth_spectrum_per_trial(self, monkeypatch):
         cfg = ExperimentConfig(runs=2, master_seed=8)
@@ -219,6 +258,37 @@ class TestMonteCarlo:
             truth = SpectrumModel(models[record.run_index - 1])
             expected = reconstruction_error(SpectrumModel(b_hat), truth, cfg.grid_size)
             assert record.reconstruction_error == expected
+
+
+def test_each_record_is_one_positional_fit_method_call(monkeypatch, tmp_path):
+    # bench/run.py times fits by swapping harness.fit_method and pairs its
+    # calls with the records: one (method, y, cfg) call per record, in order
+    calls = []
+    original = harness.fit_method
+
+    def recorder(*args, **kwargs):
+        calls.append((args, kwargs))
+        return original(*args, **kwargs)
+
+    def check(methods):
+        assert len(calls) == len(methods)
+        for (args, kwargs), method in zip(calls, methods):
+            assert kwargs == {} and len(args) == 3 and args[0] is method
+            assert isinstance(args[1], TimeSeries) and isinstance(args[2], ExperimentConfig)
+        calls.clear()
+
+    monkeypatch.setattr(harness, "fit_method", recorder)
+    cfg = ExperimentConfig(
+        methods=(Method.ME, Method.PEM_DI), N=200, n=10, runs=2, master_seed=2, grid_size=64
+    )
+    records, _ = run_monte_carlo(cfg)
+    check([r.method for r in records])
+    check([r.method for r in run_single_trial(cfg)])
+    spike = tmp_path / "spike.csv"
+    spike.write_text("1.0\n" + "0\n" * 499)
+    document = estimate_file(cfg, spike)
+    assert "error" in document["methods"]["pem-di"]
+    check([Method(m) for m in document["methods"]])
 
 
 @st.composite
@@ -297,6 +367,24 @@ class TestEstimateFile:
         assert (tmp_path / "out" / "result.json").exists()
         rows = read_csv(tmp_path / "out" / "spectrum.csv")
         assert rows[0] == ["theta", "me-tc"]
+
+    def test_failed_method_is_an_error_entry_without_a_spectrum_column(self, tmp_path):
+        data = tmp_path / "spike.csv"
+        data.write_text("1.0\n" + "0\n" * 499)
+        out = tmp_path / "out"
+        cfg = ExperimentConfig(
+            methods=(Method.ME, Method.PEM_DI), N=500, n=50, grid_size=128,
+            output_path=str(out),
+        )
+        document = estimate_file(cfg, str(data))
+        assert document["methods"]["pem-di"] == {
+            "error": "step 'kernel_pem': predictor residuals are all zero"
+        }
+        assert document["methods"]["me"]["error"] is None
+        with open(out / "result.json") as fh:
+            assert json.load(fh) == document
+        rows = read_csv(out / "spectrum.csv")
+        assert rows[0] == ["theta", "me"] and len(rows) == 1 + 128
 
     def test_empty_file_rejected(self, tmp_path):
         data = tmp_path / "empty.csv"
@@ -679,15 +767,19 @@ class TestCli:
         "content",
         ["5", "null", '{"methods": ["bogus"]}', '{"methods": [1]}', '{"methods": []}',
          '{"N": 1.5}', '{"grid_size": 8.5}', '{"N": true}', '{"refine": 1}',
-         '{"output_path": 3}'],
+         '{"output_path": 3}', None],
     )
     def test_bad_config_file_is_a_usage_error(self, tmp_path, capsys, content):
+        # None leaves the config file missing
         config = tmp_path / "cfg.json"
-        config.write_text(content)
+        if content is not None:
+            config.write_text(content)
         with pytest.raises(SystemExit) as exc_info:
             cli.main(["montecarlo", "--config", str(config), "--runs", "1", "--n", "4"])
         assert exc_info.value.code == 1
-        assert "kmaxent: error: " in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "kmaxent: error: " in err
+        assert ("cannot load config file" in err) == (content is None)
 
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_negative_seed_is_a_data_error(self, tmp_path, capsys, source):

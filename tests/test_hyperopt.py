@@ -6,8 +6,14 @@ import numpy as np
 import pytest
 
 from kmaxent import hyperopt
-from kmaxent.covariance import TimeSeries, build_toeplitz, cholesky, estimate_lags
-from kmaxent.diagnostics import shrinkage_df
+from kmaxent.covariance import (
+    CholeskyFactor,
+    TimeSeries,
+    build_toeplitz,
+    cholesky,
+    estimate_lags,
+)
+from kmaxent.diagnostics import degrees_of_freedom, shrinkage_df
 from kmaxent.errors import (
     InvalidOrderError,
     KmaxentError,
@@ -397,6 +403,29 @@ class TestRunPipeline:
         pem = run_pem_pipeline(y, 50, family)
         expected = kernel_pem(y, lagged_gram(y, 50), family, pem.eta_hat)
         assert np.array_equal(pem.b_hat.coeffs, expected.coeffs)
+
+    @pytest.mark.parametrize("family", list(KernelFamily))
+    def test_jitter_moves_r0_for_the_solve_and_the_df(self, family, benchmark_series, monkeypatch):
+        # a factorization that needed jitter eps stands for the Toeplitz
+        # matrix of the lags with r_0 + eps, which the solve and the df use
+        y, n = benchmark_series, 50
+        lags = estimate_lags(y, n)
+        eps = 1e-3 * lags[0]
+
+        def jittered(cov):
+            return CholeskyFactor(np.linalg.cholesky(cov.matrix + eps * np.eye(cov.order + 1)), eps)
+
+        monkeypatch.setattr(hyperopt, "cholesky", jittered)
+        result = run_pipeline(y, n, family)
+        assert result.jitter_used == eps
+        adjusted = lags.copy()
+        adjusted[0] += eps
+        cov = build_toeplitz(adjusted)
+        factor = CholeskyFactor(np.linalg.cholesky(cov.matrix), eps)
+        design = build_whittle_design(factor, preliminary_b0(y, 4), y.n_samples, n)
+        expected = kernel_me(design, cov, family, result.eta_hat)
+        assert np.array_equal(result.b_hat.coeffs, expected.coeffs)
+        assert result.df == degrees_of_freedom(cov, family, result.eta_hat, y.n_samples)
 
     @pytest.mark.parametrize("method", KERNEL_METHODS)
     def test_pipeline_runs_and_tags(self, method, benchmark_series):
