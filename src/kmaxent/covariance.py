@@ -2,8 +2,9 @@
 
 The sample covariance lags use the biased estimator (divisor N), which keeps
 the assembled Toeplitz matrix positive semidefinite by construction; a
-capped diagonal jitter repairs the rare numerically indefinite case. Their
-lag sums P_k are computed once per series and kept on it
+capped shift of r_0 repairs the rare numerically indefinite case, and the
+factor keeps the shifted covariance it factors, so every later step reads
+one matrix. Their lag sums P_k are computed once per series and kept on it
 (:meth:`TimeSeries.lag_sums`), so ME-BIC, the preliminary b_0, kernel-ME's
 Toeplitz matrix and kernel-PEM's Gram all read the same numbers.
 """
@@ -76,11 +77,18 @@ class ToeplitzCovariance:
     """Covariance lags r_0..r_n and the symmetric Toeplitz matrix they define.
 
     ``matrix[i, j] == lags[|i - j|]`` exactly; positive definiteness is only
-    checked when the matrix is factored, not here.
+    checked when the matrix is factored, not here. Both are read-only copies
+    of the inputs, so the pair cannot drift apart.
     """
 
     lags: np.ndarray
     matrix: np.ndarray
+
+    def __post_init__(self):
+        for name in ("lags", "matrix"):
+            values = np.array(getattr(self, name), dtype=float)
+            values.flags.writeable = False
+            object.__setattr__(self, name, values)
 
     @property
     def order(self) -> int:
@@ -89,11 +97,15 @@ class ToeplitzCovariance:
 
 @dataclass(frozen=True)
 class CholeskyFactor:
-    """Lower-triangular factor L with L @ L.T equal to the (possibly
-    jitter-repaired) covariance matrix; ``jitter`` is the diagonal shift used,
-    0.0 when none was needed."""
+    """Lower-triangular factor L with L @ L.T equal to ``cov.matrix``.
+
+    ``cov`` is the covariance that was factored: the input itself when
+    ``jitter`` is 0.0, otherwise the Toeplitz matrix of the input lags with
+    r_0 raised by ``jitter``.
+    """
 
     L: np.ndarray
+    cov: ToeplitzCovariance
     jitter: float = 0.0
 
 
@@ -119,26 +131,26 @@ def build_toeplitz(lags: np.ndarray) -> ToeplitzCovariance:
 def cholesky(cov: ToeplitzCovariance) -> CholeskyFactor:
     """Lower Cholesky factor of the covariance matrix, with capped jitter.
 
-    Tries the unmodified matrix first. If the factorization fails, adds
-    1e-8 * r_0 to the diagonal, escalating by 10 up to 4 times.
+    Tries the unmodified matrix first. If the factorization fails, raises
+    r_0 by 1e-8 * r_0, escalating by 10 up to 4 times, and factors the
+    Toeplitz matrix of the shifted lags, which the factor keeps as ``cov``.
 
     Raises
     ------
     NotPositiveDefiniteError
         If every attempt fails.
     """
-    sigma = cov.matrix
     try:
-        return CholeskyFactor(L=np.linalg.cholesky(sigma), jitter=0.0)
+        return CholeskyFactor(np.linalg.cholesky(cov.matrix), cov)
     except np.linalg.LinAlgError:
         pass
     eps = _JITTER_SCALE * abs(cov.lags[0])
     if eps == 0.0:
         raise NotPositiveDefiniteError("covariance matrix has zero leading lag")
-    eye = np.eye(sigma.shape[0])
     for _ in range(_JITTER_ESCALATIONS + 1):
+        repaired = build_toeplitz(np.concatenate(([cov.lags[0] + eps], cov.lags[1:])))
         try:
-            return CholeskyFactor(L=np.linalg.cholesky(sigma + eps * eye), jitter=eps)
+            return CholeskyFactor(np.linalg.cholesky(repaired.matrix), repaired, eps)
         except np.linalg.LinAlgError:
             eps *= _JITTER_GROWTH
     raise NotPositiveDefiniteError(

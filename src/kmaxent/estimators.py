@@ -96,7 +96,8 @@ class WhittleDesign:
     """Whitened regression form of the linearized log-likelihood.
 
     v_tilde = (sqrt(N - n) / b0_prelim) * L^{-1} e_1 and
-    phi_data = sqrt(N - n) * L^T, where L L^T is the covariance matrix.
+    phi_data = sqrt(N - n) * L^T, where L L^T is ``cov.matrix``, the
+    covariance the factor carries (jitter-repaired when one was needed).
     ``n_eff`` stores N - n, the effective sample count of the fit.
     """
 
@@ -104,6 +105,7 @@ class WhittleDesign:
     phi_data: np.ndarray
     b0_prelim: float
     n_eff: int
+    cov: ToeplitzCovariance
 
 
 @dataclass(frozen=True)
@@ -200,30 +202,28 @@ def preliminary_b0(y: TimeSeries, low_order: int = 4) -> float:
     return float(b.coeffs[0])
 
 
-def build_whittle_design(
-    L: CholeskyFactor, b0_prelim: float, N: int, n: int
-) -> WhittleDesign:
+def build_whittle_design(factor: CholeskyFactor, b0_prelim: float, N: int) -> WhittleDesign:
     """Whitened target and design matrix from the covariance factor.
 
-    L^{-1} e_1 is obtained by a triangular solve; the factor is never
-    inverted explicitly.
+    The order n is that of ``factor.cov``, which the design keeps. L^{-1} e_1
+    is obtained by a triangular solve; the factor is never inverted
+    explicitly.
     """
+    n = factor.cov.order
     if N <= n:
         raise InvalidOrderError(f"need N > n, got N={N}, n={n}")
     if not (np.isfinite(b0_prelim) and b0_prelim > 0):
         raise InvalidDataError(f"preliminary b_0 must be finite and > 0, got {b0_prelim}")
-    size = L.L.shape[0]
-    if size != n + 1:
-        raise InvalidOrderError(f"factor size {size} does not match n + 1 = {n + 1}")
-    v = np.zeros(size)
+    v = np.zeros(n + 1)
     v[0] = 1.0
     root = np.sqrt(N - n)
-    linv_v = scipy.linalg.solve_triangular(L.L, v, lower=True, check_finite=False)
+    linv_v = scipy.linalg.solve_triangular(factor.L, v, lower=True, check_finite=False)
     return WhittleDesign(
         v_tilde=(root / b0_prelim) * linv_v,
-        phi_data=root * L.L.T,
+        phi_data=root * factor.L.T,
         b0_prelim=float(b0_prelim),
         n_eff=N - n,
+        cov=factor.cov,
     )
 
 
@@ -297,33 +297,31 @@ class RidgeMarginal:
         )
 
     @classmethod
-    def whittle(cls, design: WhittleDesign, cov: ToeplitzCovariance, family: KernelFamily):
+    def whittle(cls, design: WhittleDesign, family: KernelFamily):
         """Whitened maximum-entropy fit: Phi^T Phi = (N - n) Sigma,
-        Phi^T v~ = (N - n) / b0 e_1 and target v~^T v~, with the root of the
-        full size-(n+1) kernel."""
-        moment = np.zeros(cov.order + 1)
+        Phi^T v~ = (N - n) / b0 e_1 and target v~^T v~, with Sigma the
+        design's covariance and the root of the full size-(n+1) kernel."""
+        size = design.cov.order + 1
+        moment = np.zeros(size)
         moment[0] = design.n_eff / design.b0_prelim
-        return cls._reduce(
-            design.n_eff * cov.matrix,
-            moment,
-            design.v_tilde @ design.v_tilde,
-            family,
-            cov.order + 1,
-        )
+        gram = design.n_eff * design.cov.matrix
+        return cls._reduce(gram, moment, design.v_tilde @ design.v_tilde, family, size)
 
     @classmethod
-    def regression(cls, gram, moment, target_ss, b0_prelim, family: KernelFamily):
-        """One-step-predictor regression X^T X, X^T y and y^T y with noise
-        variance 1 / b0^2 and the root of the trailing n x n block of the
-        size-(n+1) kernel, which is the size-(n+1) root without its first
-        scale. The precision b0^2 is folded into the data: the moment is
-        scaled by b0 and the target by b0^2. Raises InvalidOrderError at
-        order n = 0, which has no predictor weights."""
-        n = len(moment)
-        if n < 1:
+    def regression(cls, gram: np.ndarray, b0_prelim: float, family: KernelFamily):
+        """One-step-predictor regression on the blocks of the lagged Gram
+        (:func:`lagged_gram`): X^T X = gram[1:, 1:], X^T y = gram[1:, 0] and
+        y^T y = gram[0, 0], with noise variance 1 / b0^2 and the root of the
+        trailing n x n block of the size-(n+1) kernel, which is the
+        size-(n+1) root without its first scale. The precision b0^2 is
+        folded into the data: the moment is scaled by b0 and the target by
+        b0^2. Raises InvalidOrderError at order n = 0 (a 1 x 1 Gram), which
+        has no predictor weights."""
+        size = gram.shape[0]
+        if size < 2:
             raise InvalidOrderError("predictor regression needs order n >= 1")
-        moment, target_ss = b0_prelim * moment, b0_prelim**2 * target_ss
-        return cls._reduce(gram, moment, target_ss, family, n + 1)
+        moment, target_ss = b0_prelim * gram[1:, 0], b0_prelim**2 * gram[0, 0]
+        return cls._reduce(gram[1:, 1:], moment, target_ss, family, size)
 
     def _reduced(self, beta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Root scales c, A = B^T G B and w = B^T m at decay rate beta."""
@@ -411,23 +409,18 @@ class RidgeMarginal:
 
 
 def kernel_me(
-    design: WhittleDesign,
-    cov: ToeplitzCovariance,
-    family: KernelFamily,
-    eta: Hyperparameters,
+    design: WhittleDesign, family: KernelFamily, eta: Hyperparameters
 ) -> PredictorPolynomial:
     """Kernel-regularized maximum-entropy estimate.
 
     The prior K is the size-(n+1) kernel of ``family`` at eta's beta, with n
-    the order of ``cov``. Minimizes
+    the order of ``design.cov``, whose matrix is Sigma. Minimizes
     ||v_tilde - Phi b||^2 + lam^{-1} ||b||^2_{K^{-1}}, which equals
     b = b0_prelim^{-1} (Sigma + ((N - n) lam K)^{-1})^{-1} e_1; computed as
     the posterior mean of the search's own reduced form,
     :meth:`RidgeMarginal.posterior_mean` of :meth:`RidgeMarginal.whittle`.
     """
-    if design.phi_data.shape[0] != cov.order + 1:
-        raise InvalidOrderError("design and covariance sizes differ")
-    return PredictorPolynomial(RidgeMarginal.whittle(design, cov, family).posterior_mean(eta))
+    return PredictorPolynomial(RidgeMarginal.whittle(design, family).posterior_mean(eta))
 
 
 def lagged_gram(y: TimeSeries, n: int) -> np.ndarray:
@@ -466,8 +459,8 @@ def kernel_pem(
     maximum-entropy routes, the result carries no minimum-phase guarantee.
 
     ``gram`` is :func:`lagged_gram` of ``y`` at order n = gram.shape[0] - 1.
-    The weights a = (X^T X + (lam Kbar)^{-1})^{-1} X^T y come from its blocks
-    as the posterior mean of :meth:`RidgeMarginal.regression` at unit noise
+    The weights a = (X^T X + (lam Kbar)^{-1})^{-1} X^T y are the posterior
+    mean of :meth:`RidgeMarginal.regression` of that Gram at unit noise
     precision, the reduced form :func:`kernel_me` solves. The residuals come
     from filtering y with (1, -a) by ``np.convolve``, which is exact, O(N n)
     time and O(N) memory; the quadratic form in the Gram would cancel badly
@@ -475,8 +468,7 @@ def kernel_pem(
     the first n samples are nonzero, raise InvalidDataError; a 1 x 1 Gram
     (order 0) raises InvalidOrderError.
     """
-    ridge = RidgeMarginal.regression(gram[1:, 1:], gram[1:, 0], gram[0, 0], 1.0, family)
-    a = ridge.posterior_mean(eta)
+    a = RidgeMarginal.regression(gram, 1.0, family).posterior_mean(eta)
     predictor = np.concatenate(([1.0], -a))
     resid = np.convolve(y.samples, predictor, mode="valid")
     sigma_hat = np.sqrt(np.mean(resid**2))

@@ -250,7 +250,8 @@ def run_pipeline(
     construction, marginal-likelihood hyperparameter search, and the
     closed-form coefficient solve at the selected hyperparameters; degrees of
     freedom (from the search's reduced form) and the minimum-phase root check
-    are evaluated on the result. Deterministic given its inputs.
+    are evaluated on the result, all on the covariance the factor carries
+    (jitter-repaired when needed). Deterministic given its inputs.
     """
     N = y.n_samples
     if not 0 < n < N:
@@ -260,16 +261,9 @@ def run_pipeline(
     lags = _step("estimate_lags", estimate_lags, y, n)
     cov = _step("build_toeplitz", build_toeplitz, lags)
     factor = _step("cholesky", cholesky, cov)
-    if factor.jitter > 0.0:
-        # keep all downstream solves consistent with the repaired matrix,
-        # which is again Toeplitz (the shift only moves r_0)
-        adjusted = lags.copy()
-        adjusted[0] += factor.jitter
-        cov = build_toeplitz(adjusted)
-    design = _step("whittle_design", build_whittle_design, factor, b0, N, n)
-    objective = _step("hyperparameters", RidgeMarginal.whittle, design, cov, kernel_family)
-    solve = partial(kernel_me, design, cov)
-    return _fit("me", kernel_family, objective, solve, factor.jitter)
+    design = _step("whittle_design", build_whittle_design, factor, b0, N)
+    objective = _step("hyperparameters", RidgeMarginal.whittle, design, kernel_family)
+    return _fit("me", kernel_family, objective, partial(kernel_me, design), factor.jitter)
 
 
 def run_pem_pipeline(
@@ -280,14 +274,13 @@ def run_pem_pipeline(
     Shares the marginal-likelihood search and the fit tail with
     :func:`run_pipeline`, applied to the lagged-regression form of the data.
     Its Gram is built once by :func:`lagged_gram` (autocorrelation sums minus
-    the 2n edge rows); the objective takes its blocks and :func:`kernel_pem`
-    the whole matrix, so no N x n design is formed and memory is O(N + n^2).
+    the 2n edge rows), and the objective and :func:`kernel_pem` both take the
+    whole matrix, so no N x n design is formed and memory is O(N + n^2).
     Like :func:`run_pipeline` it runs the preliminary b_0 step first. Raises
     InvalidOrderError unless N > 2n >= 2.
     """
     kernel_family = KernelFamily(kernel_family)
     b0 = _step("preliminary_b0", preliminary_b0, y, low_order)
     gram = lagged_gram(y, n)
-    moments = gram[1:, 1:], gram[1:, 0], gram[0, 0]
-    objective = _step("hyperparameters", RidgeMarginal.regression, *moments, b0, kernel_family)
+    objective = _step("hyperparameters", RidgeMarginal.regression, gram, b0, kernel_family)
     return _fit("pem", kernel_family, objective, partial(kernel_pem, y, gram))

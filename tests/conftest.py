@@ -19,7 +19,7 @@ def benchmark_setup(benchmark_series):
     b0 = preliminary_b0(y, 4)
     cov = build_toeplitz(estimate_lags(y, 50))
     factor = cholesky(cov)
-    design = build_whittle_design(factor, b0, y.n_samples, 50)
+    design = build_whittle_design(factor, b0, y.n_samples)
     return y, cov, factor, design
 
 

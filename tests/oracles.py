@@ -121,19 +121,19 @@ def cholesky_neg_log_marginal(core: RidgeMarginal, eta: Hyperparameters) -> floa
 class MarginalObjective:
     """Negative log-marginal likelihood of the whitened maximum-entropy fit.
 
-    Keeps the design, covariance and order next to the library's
-    :class:`RidgeMarginal` so the dense oracles of a test can rebuild them.
+    Keeps the design (which carries the covariance) and order next to the
+    library's :class:`RidgeMarginal` so the dense oracles of a test can
+    rebuild them.
     """
 
     design: WhittleDesign
-    cov: ToeplitzCovariance
     kernel_family: KernelFamily
     N: int
     n: int
 
     @cached_property
     def core(self) -> RidgeMarginal:
-        return RidgeMarginal.whittle(self.design, self.cov, self.kernel_family)
+        return RidgeMarginal.whittle(self.design, self.kernel_family)
 
     def profile(self, lams: np.ndarray, betas):
         return self.core.profile(lams, betas)

@@ -49,7 +49,7 @@ def report(number, name, ok, detail=""):
 def whitened_setup(y, n, low_order=4):
     b0 = preliminary_b0(y, low_order)
     cov = build_toeplitz(estimate_lags(y, n))
-    design = build_whittle_design(cholesky(cov), b0, y.n_samples, n)
+    design = build_whittle_design(cholesky(cov), b0, y.n_samples)
     return cov, design
 
 
@@ -63,8 +63,8 @@ def test_criterion_01_minimum_phase_invariant():
         beta = float(rng.uniform(0.1, 0.95))
         lam = float(10.0 ** rng.uniform(-3, 3))
         family = KernelFamily.DI if trial % 2 == 0 else KernelFamily.TC
-        cov, design = whitened_setup(y, n)
-        b = kernel_me(design, cov, family, Hyperparameters(lam, beta))
+        _, design = whitened_setup(y, n)
+        b = kernel_me(design, family, Hyperparameters(lam, beta))
         ok, modulus = check_min_phase(b)
         worst = max(worst, modulus)
         if not ok:
@@ -84,7 +84,7 @@ def test_criterion_02_lambda_infinity_reduction():
             y = generate(random_arma(900 + index), 500, 1900 + index)
             index += 1
             cov, design = whitened_setup(y, n)
-            b = kernel_me(design, cov, family, Hyperparameters(1e12, beta))
+            b = kernel_me(design, family, Hyperparameters(1e12, beta))
             v = np.zeros(n + 1)
             v[0] = 1.0
             target = np.linalg.solve(cov.matrix, v) / design.b0_prelim
@@ -117,9 +117,9 @@ def test_criterion_04_closed_form_agreement():
         beta = float(rng.uniform(0.1, 0.95))
         lam = float(10.0 ** rng.uniform(-3, 3))
         family = KernelFamily.DI if trial % 2 == 0 else KernelFamily.TC
-        cov, design = whitened_setup(y, n)
+        _, design = whitened_setup(y, n)
         eta = Hyperparameters(lam, beta)
-        b1 = kernel_me(design, cov, family, eta)
+        b1 = kernel_me(design, family, eta)
         b2 = kernel_me_regularized_ls(design, family, eta)
         rel = np.linalg.norm(b1.coeffs - b2.coeffs) / np.linalg.norm(b1.coeffs)
         worst = max(worst, rel)
@@ -282,7 +282,7 @@ def test_criterion_10_oracle_equivalence(benchmark_series):
     _, design = whitened_setup(y, 50)
     spec = KernelSpec(KernelFamily.DI, 0.85, 51)
     eta = Hyperparameters(1.0, 0.85)
-    b_km = kernel_me(design, cov, KernelFamily.DI, eta)
+    b_km = kernel_me(design, KernelFamily.DI, eta)
     K = kernel_matrix(spec)
     dense = np.linalg.solve(design.phi_data.T @ design.phi_data
                             + np.linalg.inv(K) / eta.lam,

@@ -193,12 +193,40 @@ class TestBuildToeplitz:
         with pytest.raises(InvalidDataError):
             build_toeplitz(np.array([1.0, np.nan]))
 
+    def test_keeps_read_only_copies_of_its_inputs(self):
+        lags = np.array([1.0, 0.5])
+        cov = build_toeplitz(lags)
+        lags[0] = 9.0
+        assert cov.lags[0] == 1.0 and cov.matrix[0, 0] == 1.0
+        matrix = np.array([[4.0, 2.0], [2.0, 4.0]])
+        direct = ToeplitzCovariance(lags=np.array([4.0, 2.0]), matrix=matrix)
+        matrix[0, 0] = 9.0
+        assert direct.matrix[0, 0] == 4.0
+        for kept in (cov.lags, cov.matrix, direct.lags, direct.matrix):
+            with pytest.raises(ValueError):
+                kept[0] = 0.0
+
 
 class TestCholesky:
     def test_identity(self):
-        factor = cholesky(build_toeplitz(np.array([1.0, 0.0, 0.0])))
+        cov = build_toeplitz(np.array([1.0, 0.0, 0.0]))
+        factor = cholesky(cov)
         np.testing.assert_array_equal(factor.L, np.eye(3))
         assert factor.jitter == 0.0
+        assert factor.cov is cov
+
+    @pytest.mark.parametrize(
+        "lags, jitter",
+        [([1.0, 1.0], 1e-8), ([1.0, 1.0 + 1e-7], 1e-6)],
+        ids=["first-shift", "two-escalations"],
+    )
+    def test_factor_carries_the_shifted_covariance(self, lags, jitter):
+        cov = build_toeplitz(np.array(lags))
+        factor = cholesky(cov)
+        assert factor.jitter == pytest.approx(jitter, rel=1e-12)
+        assert factor.cov.lags[0] == 1.0 + factor.jitter
+        assert np.array_equal(factor.cov.lags[1:], cov.lags[1:])
+        assert np.array_equal(factor.L, np.linalg.cholesky(factor.cov.matrix))
 
     def test_hand_worked_2x2(self):
         cov = ToeplitzCovariance(

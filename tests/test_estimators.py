@@ -3,7 +3,6 @@ import pytest
 import scipy.signal
 
 from kmaxent.covariance import (
-    CholeskyFactor,
     TimeSeries,
     build_toeplitz,
     cholesky,
@@ -173,8 +172,8 @@ class TestPreliminaryB0:
 
 class TestWhittleDesign:
     def test_identity_factor(self):
-        factor = CholeskyFactor(L=np.eye(3))
-        design = build_whittle_design(factor, 1.0, 6, 2)
+        factor = cholesky(build_toeplitz([1.0, 0.0, 0.0]))
+        design = build_whittle_design(factor, 1.0, 6)
         np.testing.assert_allclose(design.v_tilde, [2.0, 0.0, 0.0], atol=1e-15)
         np.testing.assert_allclose(design.phi_data, 2.0 * np.eye(3), atol=1e-15)
         assert design.n_eff == 4
@@ -187,16 +186,11 @@ class TestWhittleDesign:
         assert rel <= 1e-10
 
     def test_rejects_degenerate_inputs(self):
-        factor = CholeskyFactor(L=np.eye(3))
+        factor = cholesky(build_toeplitz([1.0, 0.0, 0.0]))
         with pytest.raises(InvalidOrderError):
-            build_whittle_design(factor, 1.0, 2, 2)
+            build_whittle_design(factor, 1.0, 2)
         with pytest.raises(InvalidDataError):
-            build_whittle_design(factor, 0.0, 6, 2)
-        with pytest.raises(InvalidOrderError):
-            build_whittle_design(factor, 1.0, 10, 4)  # size mismatch
-        design, cov = build_whittle_design(factor, 1.0, 6, 2), build_toeplitz([1.0, 0.5])
-        with pytest.raises(InvalidOrderError, match="design and covariance sizes differ"):
-            kernel_me(design, cov, KernelFamily.DI, Hyperparameters(1.0, 0.5))
+            build_whittle_design(factor, 0.0, 6)
 
 
 class TestKernelMe:
@@ -207,15 +201,15 @@ class TestKernelMe:
         a = np.linalg.solve(cov.matrix, v)
         for family in KernelFamily:
             eta = Hyperparameters(1e12, 0.85)
-            b = kernel_me(design, cov, family, eta)
+            b = kernel_me(design, family, eta)
             target = a / design.b0_prelim
             rel = np.linalg.norm(b.coeffs - target) / np.linalg.norm(target)
             assert rel <= 1e-4, (family, rel)
 
     def test_lambda_zero_shrinks_to_nothing(self, benchmark_setup):
-        _, cov, _, design = benchmark_setup
+        _, _, _, design = benchmark_setup
         eta = Hyperparameters(1e-12, 0.85)
-        b = kernel_me(design, cov, KernelFamily.TC, eta)
+        b = kernel_me(design, KernelFamily.TC, eta)
         assert np.linalg.norm(b.coeffs) < 1e-6
 
     def test_matches_dense_normal_equations_oracle(self, benchmark_setup):
@@ -225,7 +219,7 @@ class TestKernelMe:
         ]
         for family, lam, beta, tol in cases:
             eta = Hyperparameters(lam, beta)
-            b = kernel_me(design, cov, family, eta)
+            b = kernel_me(design, family, eta)
             K = kernel_matrix(KernelSpec(family, beta, cov.order + 1))
             phi, vt = design.phi_data, design.v_tilde
             oracle = np.linalg.solve(
@@ -235,7 +229,7 @@ class TestKernelMe:
             assert rel <= tol, (family, lam, beta, rel)
 
     def test_closed_forms_agree(self, benchmark_setup):
-        _, cov, _, design = benchmark_setup
+        _, _, _, design = benchmark_setup
         rng = np.random.default_rng(5)
         cases = []
         for _ in range(10):
@@ -245,7 +239,7 @@ class TestKernelMe:
         cases += [(family, lam, beta) for family in KernelFamily for lam, beta in BOX_CORNERS]
         for family, lam, beta in cases:
             eta = Hyperparameters(lam, beta)
-            b1 = kernel_me(design, cov, family, eta)
+            b1 = kernel_me(design, family, eta)
             b2 = kernel_me_regularized_ls(design, family, eta)
             rel = np.linalg.norm(b1.coeffs - b2.coeffs) / np.linalg.norm(b1.coeffs)
             assert rel <= 1e-8, (family, lam, beta, rel)
@@ -261,8 +255,8 @@ class TestKernelMe:
             y = TimeSeries(samples)
             b0 = preliminary_b0(y, 4)
             cov = build_toeplitz(estimate_lags(y, n))
-            design = build_whittle_design(cholesky(cov), b0, N, n)
-            return kernel_me(design, cov, KernelFamily.TC, Hyperparameters(lam_value, beta))
+            design = build_whittle_design(cholesky(cov), b0, N)
+            return kernel_me(design, KernelFamily.TC, Hyperparameters(lam_value, beta))
 
         base = fit(benchmark_series.samples, lam)
         scaled = fit(c * benchmark_series.samples, lam / c**2)
@@ -275,7 +269,7 @@ class TestKernelMe:
             fac = inverse_factorization(KernelSpec(family, beta, cov.order + 1))
             norms = []
             for lam in np.logspace(-3, 3, 13):
-                b = kernel_me(design, cov, family, Hyperparameters(lam, beta))
+                b = kernel_me(design, family, Hyperparameters(lam, beta))
                 w = fac.F.T @ b.coeffs
                 norms.append(float(w @ (fac.d * w)))
             norms = np.array(norms)
@@ -314,7 +308,7 @@ class TestKernelPem:
 
         b_pem = kernel_pem(y, lagged_gram(y, n), KernelFamily.TC, eta)
         a_pem = -b_pem.coeffs[1:] / b_pem.coeffs[0]
-        b_me = kernel_me(design, cov, KernelFamily.TC, eta)
+        b_me = kernel_me(design, KernelFamily.TC, eta)
         a_me = -b_me.coeffs[1:] / b_me.coeffs[0]
         assert objective(a_pem) <= objective(a_me)
 

@@ -57,8 +57,8 @@ GRID_BETAS = np.linspace(0.05, 0.95, 19)
 def whittle_objective(y, n, family, low_order=4):
     b0 = preliminary_b0(y, low_order)
     cov = build_toeplitz(estimate_lags(y, n))
-    design = build_whittle_design(cholesky(cov), b0, y.n_samples, n)
-    return MarginalObjective(design=design, cov=cov, kernel_family=family, N=y.n_samples, n=n)
+    design = build_whittle_design(cholesky(cov), b0, y.n_samples)
+    return MarginalObjective(design=design, kernel_family=family, N=y.n_samples, n=n)
 
 
 def small_objective(seed=3, N=30, n=2, family=KernelFamily.TC):
@@ -82,7 +82,8 @@ def dense_neg_log_marginal(obj, eta):
 def regression_objective(y, n, rows, b0, family):
     X, target = lagged_design(y, n)
     X, target = X[:rows], target[:rows]
-    obj = RidgeMarginal.regression(X.T @ X, X.T @ target, float(target @ target), b0, family)
+    Z = np.column_stack((target, X))
+    obj = RidgeMarginal.regression(Z.T @ Z, b0, family)
     return obj, X, target
 
 
@@ -100,8 +101,8 @@ def dense_regression_neg_log(X, target, b0, obj, eta):
 
 class TestNegLogMarginal:
     def test_lambda_zero_limit(self, benchmark_setup):
-        _, cov, _, design = benchmark_setup
-        obj = RidgeMarginal.whittle(design, cov, KernelFamily.TC)
+        _, _, _, design = benchmark_setup
+        obj = RidgeMarginal.whittle(design, KernelFamily.TC)
         value = neg_log_marginal(obj, Hyperparameters(1e-15, 0.5))
         assert abs(value - 0.5 * design.v_tilde @ design.v_tilde) <= 1e-8
 
@@ -191,8 +192,8 @@ class TestRidgeMarginalCore:
     def test_profile_polish_beats_a_dense_lambda_scan(self, family, benchmark_setup):
         # the polished lambda of each beta is checked against a 2001-point scan
         # of ln lambda over its grid bracket, scored by Cholesky
-        _, cov, _, design = benchmark_setup
-        obj = RidgeMarginal.whittle(design, cov, family)
+        _, _, _, design = benchmark_setup
+        obj = RidgeMarginal.whittle(design, family)
         lams = np.array([10.0**lg for lg in np.linspace(-4, 4, 17)])
         betas = [0.3, 0.7, 0.9]
         values, lam_star, value_star = obj.profile(lams, betas)
@@ -287,8 +288,8 @@ class TestOptimizeHyperparameters:
         assert len(result.trace) > 323
 
     def test_never_worse_than_best_grid_point(self, benchmark_setup):
-        _, cov, _, design = benchmark_setup
-        obj = RidgeMarginal.whittle(design, cov, KernelFamily.TC)
+        _, _, _, design = benchmark_setup
+        obj = RidgeMarginal.whittle(design, KernelFamily.TC)
         result = optimize_hyperparameters(obj)
         # independent recomputation of every stage-1 grid value
         grid_best = min(
@@ -299,8 +300,8 @@ class TestOptimizeHyperparameters:
         assert result.objective_value <= grid_best + 1e-12
 
     def test_eta_attains_trace_minimum(self, benchmark_setup):
-        _, cov, _, design = benchmark_setup
-        obj = RidgeMarginal.whittle(design, cov, KernelFamily.DI)
+        _, _, _, design = benchmark_setup
+        obj = RidgeMarginal.whittle(design, KernelFamily.DI)
         result = optimize_hyperparameters(obj)
         values = [entry[2] for entry in result.trace]
         assert result.objective_value == min(values)
@@ -313,14 +314,12 @@ KERNEL_METHODS = [Method.ME_DI, Method.ME_TC, Method.PEM_DI, Method.PEM_TC]
 
 def kernel_objective(method, benchmark_setup):
     """The search objective of a kernel method on the benchmark fixture, n = 50."""
-    y, cov, _, design = benchmark_setup
+    y, _, _, design = benchmark_setup
     route, family = method.value.split("-")
     if route == "me":
-        return RidgeMarginal.whittle(design, cov, KernelFamily(family))
+        return RidgeMarginal.whittle(design, KernelFamily(family))
     gram = lagged_gram(y, 50)
-    return RidgeMarginal.regression(
-        gram[1:, 1:], gram[1:, 0], gram[0, 0], preliminary_b0(y, 4), KernelFamily(family)
-    )
+    return RidgeMarginal.regression(gram, preliminary_b0(y, 4), KernelFamily(family))
 
 
 class TestBoundedBrent:
@@ -395,10 +394,10 @@ class TestRunPipeline:
     @pytest.mark.parametrize("family", list(KernelFamily))
     def test_coefficients_are_the_public_steps(self, family, benchmark_setup):
         # each pipeline's coefficients are its public solve step at eta_hat
-        y, cov, _, design = benchmark_setup
+        y, _, _, design = benchmark_setup
         me = run_pipeline(y, 50, family)
         assert me.jitter_used == 0.0  # so the fixture's design is the pipeline's
-        expected = kernel_me(design, cov, family, me.eta_hat)
+        expected = kernel_me(design, family, me.eta_hat)
         assert np.array_equal(me.b_hat.coeffs, expected.coeffs)
         pem = run_pem_pipeline(y, 50, family)
         expected = kernel_pem(y, lagged_gram(y, 50), family, pem.eta_hat)
@@ -406,26 +405,25 @@ class TestRunPipeline:
 
     @pytest.mark.parametrize("family", list(KernelFamily))
     def test_jitter_moves_r0_for_the_solve_and_the_df(self, family, benchmark_series, monkeypatch):
-        # a factorization that needed jitter eps stands for the Toeplitz
-        # matrix of the lags with r_0 + eps, which the solve and the df use
+        # a factorization that needed jitter eps carries the Toeplitz matrix
+        # of the lags with r_0 + eps, which the solve and the df use
         y, n = benchmark_series, 50
-        lags = estimate_lags(y, n)
-        eps = 1e-3 * lags[0]
+        eps = 1e-3 * estimate_lags(y, n)[0]
+        factors = []
 
         def jittered(cov):
-            return CholeskyFactor(np.linalg.cholesky(cov.matrix + eps * np.eye(cov.order + 1)), eps)
+            repaired = build_toeplitz(np.concatenate(([cov.lags[0] + eps], cov.lags[1:])))
+            factors.append(CholeskyFactor(np.linalg.cholesky(repaired.matrix), repaired, eps))
+            return factors[-1]
 
         monkeypatch.setattr(hyperopt, "cholesky", jittered)
         result = run_pipeline(y, n, family)
+        (factor,) = factors
         assert result.jitter_used == eps
-        adjusted = lags.copy()
-        adjusted[0] += eps
-        cov = build_toeplitz(adjusted)
-        factor = CholeskyFactor(np.linalg.cholesky(cov.matrix), eps)
-        design = build_whittle_design(factor, preliminary_b0(y, 4), y.n_samples, n)
-        expected = kernel_me(design, cov, family, result.eta_hat)
+        design = build_whittle_design(factor, preliminary_b0(y, 4), y.n_samples)
+        expected = kernel_me(design, family, result.eta_hat)
         assert np.array_equal(result.b_hat.coeffs, expected.coeffs)
-        assert result.df == degrees_of_freedom(cov, family, result.eta_hat, y.n_samples)
+        assert result.df == degrees_of_freedom(factor.cov, family, result.eta_hat, y.n_samples)
 
     @pytest.mark.parametrize("method", KERNEL_METHODS)
     def test_pipeline_runs_and_tags(self, method, benchmark_series):
@@ -599,9 +597,7 @@ def test_regression_profile_is_finite_at_scale_1e100(family):
     # (Q^T X^T y)^2 of the unscaled moment overflows at this scale
     y = TimeSeries(generate(benchmark_arma(), 500, 1).samples * 1e100)
     gram = lagged_gram(y, 50)
-    obj = RidgeMarginal.regression(
-        gram[1:, 1:], gram[1:, 0], gram[0, 0], preliminary_b0(y, 4), family
-    )
+    obj = RidgeMarginal.regression(gram, preliminary_b0(y, 4), family)
     values, lam_star, value_star = obj.profile(GRID_LAMS, GRID_BETAS)
     assert values.shape == (17, 19)
     assert np.isfinite(values).all()
@@ -640,8 +636,8 @@ class TestBoxEdge:
 
 
 def test_trace_starts_with_exactly_the_profiled_grid(benchmark_setup):
-    _, cov, _, design = benchmark_setup
-    obj = RidgeMarginal.whittle(design, cov, KernelFamily.TC)
+    _, _, _, design = benchmark_setup
+    obj = RidgeMarginal.whittle(design, KernelFamily.TC)
     result = optimize_hyperparameters(obj)
     expected = obj.profile(GRID_LAMS, GRID_BETAS)[0]
     grid = result.trace[:323]
