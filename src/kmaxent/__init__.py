@@ -4,7 +4,6 @@ from .covariance import (
     CholeskyFactor,
     TimeSeries,
     ToeplitzCovariance,
-    build_toeplitz,
     cholesky,
     estimate_lags,
 )
@@ -24,7 +23,6 @@ from .estimators import (
     Method,
     PredictorPolynomial,
     WhittleDesign,
-    build_whittle_design,
     check_min_phase,
     kernel_me,
     kernel_pem,

@@ -4,17 +4,18 @@ The sample covariance lags use the biased estimator (divisor N), which keeps
 the assembled Toeplitz matrix positive semidefinite by construction; a
 capped shift of r_0 repairs the rare numerically indefinite case, and the
 factor keeps the shifted covariance it factors, so every later step reads
-one matrix. Their lag sums P_k are computed once per series and kept on it
+one matrix. :class:`ToeplitzCovariance` computes its matrix from its lags
+and :class:`CholeskyFactor` its factor from its covariance, so no pair can
+disagree. The lag sums P_k are computed once per series and kept on it
 (:meth:`TimeSeries.lag_sums`), so ME-BIC, the preliminary b_0, kernel-ME's
 Toeplitz matrix and kernel-PEM's Gram all read the same numbers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import InvalidDataError, InvalidOrderError, NotPositiveDefiniteError
 
@@ -76,17 +77,24 @@ class TimeSeries:
 class ToeplitzCovariance:
     """Covariance lags r_0..r_n and the symmetric Toeplitz matrix they define.
 
-    ``matrix[i, j] == lags[|i - j|]`` exactly; positive definiteness is only
-    checked when the matrix is factored, not here. Both are read-only copies
-    of the inputs, so the pair cannot drift apart.
+    ``lags`` is a read-only copy of the input, a finite non-empty 1d vector
+    (InvalidDataError otherwise), and the read-only ``matrix[i, j] ==
+    lags[|i - j|]`` is computed from it, so the pair cannot drift apart.
+    Positive definiteness is checked only when the matrix is factored.
     """
 
     lags: np.ndarray
-    matrix: np.ndarray
+    matrix: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        for name in ("lags", "matrix"):
-            values = np.array(getattr(self, name), dtype=float)
+        r = np.array(self.lags, dtype=float)
+        if r.ndim != 1 or r.size == 0:
+            raise InvalidDataError("lags must be a non-empty 1d vector")
+        if not np.all(np.isfinite(r)):
+            raise InvalidDataError("lags contain non-finite values")
+        index = np.arange(r.size)
+        matrix = r[np.abs(index[:, None] - index)]
+        for name, values in (("lags", r), ("matrix", matrix)):
             values.flags.writeable = False
             object.__setattr__(self, name, values)
 
@@ -97,16 +105,22 @@ class ToeplitzCovariance:
 
 @dataclass(frozen=True)
 class CholeskyFactor:
-    """Lower-triangular factor L with L @ L.T equal to ``cov.matrix``.
+    """Read-only lower-triangular factor L with L @ L.T equal to ``cov.matrix``.
 
-    ``cov`` is the covariance that was factored: the input itself when
-    ``jitter`` is 0.0, otherwise the Toeplitz matrix of the input lags with
-    r_0 raised by ``jitter``.
+    ``L`` is computed from ``cov`` by ``np.linalg.cholesky``, which raises
+    LinAlgError when the matrix is not positive definite. ``cov`` is the input
+    of :func:`cholesky` when ``jitter`` is 0.0, otherwise the Toeplitz matrix
+    of its lags with r_0 raised by ``jitter``.
     """
 
-    L: np.ndarray
     cov: ToeplitzCovariance
     jitter: float = 0.0
+    L: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        L = np.linalg.cholesky(self.cov.matrix)
+        L.flags.writeable = False
+        object.__setattr__(self, "L", L)
 
 
 def estimate_lags(y: TimeSeries, n: int) -> np.ndarray:
@@ -116,16 +130,6 @@ def estimate_lags(y: TimeSeries, n: int) -> np.ndarray:
     requires 0 <= n < N.
     """
     return y.lag_sums(n) / y.n_samples
-
-
-def build_toeplitz(lags: np.ndarray) -> ToeplitzCovariance:
-    """Assemble the symmetric Toeplitz covariance matrix from its lags."""
-    r = np.asarray(lags, dtype=float)
-    if r.ndim != 1 or r.size == 0:
-        raise InvalidDataError("lags must be a non-empty 1d vector")
-    if not np.all(np.isfinite(r)):
-        raise InvalidDataError("lags contain non-finite values")
-    return ToeplitzCovariance(lags=r, matrix=scipy.linalg.toeplitz(r))
 
 
 def cholesky(cov: ToeplitzCovariance) -> CholeskyFactor:
@@ -141,16 +145,16 @@ def cholesky(cov: ToeplitzCovariance) -> CholeskyFactor:
         If every attempt fails.
     """
     try:
-        return CholeskyFactor(np.linalg.cholesky(cov.matrix), cov)
+        return CholeskyFactor(cov)
     except np.linalg.LinAlgError:
         pass
     eps = _JITTER_SCALE * abs(cov.lags[0])
     if eps == 0.0:
         raise NotPositiveDefiniteError("covariance matrix has zero leading lag")
     for _ in range(_JITTER_ESCALATIONS + 1):
-        repaired = build_toeplitz(np.concatenate(([cov.lags[0] + eps], cov.lags[1:])))
+        repaired = ToeplitzCovariance(np.concatenate(([cov.lags[0] + eps], cov.lags[1:])))
         try:
-            return CholeskyFactor(np.linalg.cholesky(repaired.matrix), repaired, eps)
+            return CholeskyFactor(repaired, eps)
         except np.linalg.LinAlgError:
             eps *= _JITTER_GROWTH
     raise NotPositiveDefiniteError(

@@ -28,5 +28,4 @@ def degrees_of_freedom(
     n = cov.order
     if N <= n:
         raise InvalidOrderError(f"need N > n, got N={N}, n={n}")
-    gram, moment = (N - n) * cov.matrix, np.zeros(n + 1)
-    return RidgeMarginal._reduce(gram, moment, 0.0, family, n + 1).df(eta)
+    return RidgeMarginal((N - n) * cov.matrix, np.zeros(n + 1), 0.0, family, n + 1).df(eta)

@@ -7,7 +7,9 @@ check applied to every estimate.
 
 Both kernel estimators are one ridge regression, :class:`RidgeMarginal`, on
 the reduced form B^T G B of a Gram matrix G and the structured kernel root
-B. It gives the marginal likelihood the hyperparameter search minimizes
+B, which it computes from G when constructed, as :class:`WhittleDesign`
+computes the whitened design from the covariance factor. It gives the
+marginal likelihood the hyperparameter search minimizes
 (:meth:`RidgeMarginal.profile`), the coefficients
 (:meth:`RidgeMarginal.posterior_mean`, one Cholesky solve) and the degrees of
 freedom (:meth:`RidgeMarginal.df`); no kernel or kernel inverse is formed.
@@ -28,18 +30,12 @@ from __future__ import annotations
 
 import enum
 import functools
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 import scipy.linalg
 
-from .covariance import (
-    CholeskyFactor,
-    TimeSeries,
-    ToeplitzCovariance,
-    build_toeplitz,
-    estimate_lags,
-)
+from .covariance import CholeskyFactor, TimeSeries, ToeplitzCovariance, estimate_lags
 from .errors import InvalidDataError, InvalidOrderError, NotPositiveDefiniteError
 from .kernels import Hyperparameters, KernelFamily, KernelSpec, root_scale
 
@@ -95,17 +91,38 @@ class PredictorPolynomial:
 class WhittleDesign:
     """Whitened regression form of the linearized log-likelihood.
 
-    v_tilde = (sqrt(N - n) / b0_prelim) * L^{-1} e_1 and
-    phi_data = sqrt(N - n) * L^T, where L L^T is ``cov.matrix``, the
-    covariance the factor carries (jitter-repaired when one was needed).
-    ``n_eff`` stores N - n, the effective sample count of the fit.
+    Computed read-only from ``factor``, L L^T = ``cov.matrix`` of order n:
+    v_tilde = (sqrt(N - n) / b0_prelim) * L^{-1} e_1, by a triangular solve,
+    and phi_data = sqrt(N - n) * L^T. ``cov`` is the covariance the factor
+    carries (jitter-repaired when one was needed) and ``n_eff`` is N - n, the
+    effective sample count. Requires N > n and a finite b0_prelim > 0.
     """
 
-    v_tilde: np.ndarray
-    phi_data: np.ndarray
+    factor: CholeskyFactor
     b0_prelim: float
-    n_eff: int
-    cov: ToeplitzCovariance
+    N: int
+    v_tilde: np.ndarray = field(init=False)
+    phi_data: np.ndarray = field(init=False)
+    n_eff: int = field(init=False)
+    cov: ToeplitzCovariance = field(init=False)
+
+    def __post_init__(self):
+        L, n, b0 = self.factor.L, self.factor.cov.order, self.b0_prelim
+        if self.N <= n:
+            raise InvalidOrderError(f"need N > n, got N={self.N}, n={n}")
+        if not (np.isfinite(b0) and b0 > 0):
+            raise InvalidDataError(f"preliminary b_0 must be finite and > 0, got {b0}")
+        v = np.zeros(n + 1)
+        v[0] = 1.0
+        root = np.sqrt(self.N - n)
+        linv_v = scipy.linalg.solve_triangular(L, v, lower=True, check_finite=False)
+        v_tilde, phi_data = (root / b0) * linv_v, root * L.T
+        v_tilde.flags.writeable = phi_data.flags.writeable = False
+        object.__setattr__(self, "b0_prelim", float(b0))
+        object.__setattr__(self, "v_tilde", v_tilde)
+        object.__setattr__(self, "phi_data", phi_data)
+        object.__setattr__(self, "n_eff", self.N - n)
+        object.__setattr__(self, "cov", self.factor.cov)
 
 
 @dataclass(frozen=True)
@@ -184,10 +201,10 @@ def me_bic(y: TimeSeries, n_max: int) -> tuple[PredictorPolynomial, int]:
     if not 1 <= n_max < N:
         raise InvalidOrderError(f"n_max={n_max} must satisfy 1 <= n_max < N={N}")
     lags = _variance_lags(y, n_max)
-    L, _ = _cho_factor(build_toeplitz(lags).matrix)
+    L, _ = _cho_factor(ToeplitzCovariance(lags).matrix)
     bic = 2.0 * N * np.log(np.diag(L)[1:]) + np.arange(1, n_max + 1) * np.log(N)
     n = int(np.argmin(bic)) + 1  # the first minimum: the smaller order wins ties
-    return yule_walker(build_toeplitz(lags[: n + 1])), n
+    return yule_walker(ToeplitzCovariance(lags[: n + 1])), n
 
 
 def preliminary_b0(y: TimeSeries, low_order: int = 4) -> float:
@@ -198,33 +215,8 @@ def preliminary_b0(y: TimeSeries, low_order: int = 4) -> float:
     likelihood and to scale the whitened design. Raises
     NotPositiveDefiniteError when the series has zero variance.
     """
-    b = yule_walker(build_toeplitz(_variance_lags(y, low_order)))
+    b = yule_walker(ToeplitzCovariance(_variance_lags(y, low_order)))
     return float(b.coeffs[0])
-
-
-def build_whittle_design(factor: CholeskyFactor, b0_prelim: float, N: int) -> WhittleDesign:
-    """Whitened target and design matrix from the covariance factor.
-
-    The order n is that of ``factor.cov``, which the design keeps. L^{-1} e_1
-    is obtained by a triangular solve; the factor is never inverted
-    explicitly.
-    """
-    n = factor.cov.order
-    if N <= n:
-        raise InvalidOrderError(f"need N > n, got N={N}, n={n}")
-    if not (np.isfinite(b0_prelim) and b0_prelim > 0):
-        raise InvalidDataError(f"preliminary b_0 must be finite and > 0, got {b0_prelim}")
-    v = np.zeros(n + 1)
-    v[0] = 1.0
-    root = np.sqrt(N - n)
-    linv_v = scipy.linalg.solve_triangular(factor.L, v, lower=True, check_finite=False)
-    return WhittleDesign(
-        v_tilde=(root / b0_prelim) * linv_v,
-        phi_data=root * factor.L.T,
-        b0_prelim=float(b0_prelim),
-        n_eff=N - n,
-        cov=factor.cov,
-    )
 
 
 # The lambda polish takes at most 50 steps (bisection alone narrows a bracket
@@ -269,18 +261,22 @@ class RidgeMarginal:
     A = c c^T * S^T G S and w = c * S^T m are elementwise scalings; no kernel
     matrix is formed. The root scales c are the last ``reduced_moment.size``
     of the size-``size`` kernel root: all of them for the full kernel, and
-    all but the first for its trailing block.
+    all but the first for its trailing block. Both are read-only copies, so
+    a later write to the caller's G or m changes nothing; a reduced form that
+    overflows raises InvalidDataError.
     """
 
-    reduced_gram: np.ndarray
-    reduced_moment: np.ndarray
+    gram: InitVar[np.ndarray]
+    moment: InitVar[np.ndarray]
     target_ss: float
     family: KernelFamily
     size: int  # kernel size n + 1
+    reduced_gram: np.ndarray = field(init=False)
+    reduced_moment: np.ndarray = field(init=False)
 
-    @classmethod
-    def _reduce(cls, gram, moment, target_ss, family, size):
-        family = KernelFamily(family)
+    def __post_init__(self, gram, moment):
+        family = KernelFamily(self.family)
+        gram, moment = np.array(gram, dtype=float), np.array(moment, dtype=float)
         if family is KernelFamily.TC:
             # S^T G S and S^T m are cumulative sums
             with np.errstate(over="ignore", invalid="ignore"):
@@ -288,13 +284,11 @@ class RidgeMarginal:
                 moment = np.cumsum(moment)
         if not (np.isfinite(gram).all() and np.isfinite(moment).all()):
             raise InvalidDataError("reduced Gram matrix overflows; the data scale is too large")
-        return cls(
-            reduced_gram=gram,
-            reduced_moment=moment,
-            target_ss=float(target_ss),
-            family=family,
-            size=size,
-        )
+        gram.flags.writeable = moment.flags.writeable = False
+        object.__setattr__(self, "reduced_gram", gram)
+        object.__setattr__(self, "reduced_moment", moment)
+        object.__setattr__(self, "target_ss", float(self.target_ss))
+        object.__setattr__(self, "family", family)
 
     @classmethod
     def whittle(cls, design: WhittleDesign, family: KernelFamily):
@@ -305,7 +299,7 @@ class RidgeMarginal:
         moment = np.zeros(size)
         moment[0] = design.n_eff / design.b0_prelim
         gram = design.n_eff * design.cov.matrix
-        return cls._reduce(gram, moment, design.v_tilde @ design.v_tilde, family, size)
+        return cls(gram, moment, design.v_tilde @ design.v_tilde, family, size)
 
     @classmethod
     def regression(cls, gram: np.ndarray, b0_prelim: float, family: KernelFamily):
@@ -321,7 +315,7 @@ class RidgeMarginal:
         if size < 2:
             raise InvalidOrderError("predictor regression needs order n >= 1")
         moment, target_ss = b0_prelim * gram[1:, 0], b0_prelim**2 * gram[0, 0]
-        return cls._reduce(gram[1:, 1:], moment, target_ss, family, size)
+        return cls(gram[1:, 1:], moment, target_ss, family, size)
 
     def _reduced(self, beta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Root scales c, A = B^T G B and w = B^T m at decay rate beta."""
@@ -443,7 +437,7 @@ def lagged_gram(y: TimeSeries, n: int) -> np.ndarray:
     windows = np.lib.stride_tricks.sliding_window_view
     H = windows(np.concatenate((pad, s[:n])), n + 1)[:, ::-1]
     T = windows(np.concatenate((s[N - n :], pad)), n + 1)[:, ::-1]
-    return build_toeplitz(y.lag_sums(n)).matrix - (H.T @ H + T.T @ T)
+    return ToeplitzCovariance(y.lag_sums(n)).matrix - (H.T @ H + T.T @ T)
 
 
 def kernel_pem(

@@ -6,9 +6,10 @@ out. Kernel-ME and kernel-PEM are two cases of one ridge regression,
 :class:`~kmaxent.estimators.RidgeMarginal` (re-exported here): its
 :meth:`~kmaxent.estimators.RidgeMarginal.profile` gives every score of the
 search, the single point of :func:`neg_log_marginal` included, and the same
-reduced form gives the coefficient solve and the degrees of freedom. Both
-pipelines end in one shared tail: search, coefficient solve, degrees of
-freedom and root check.
+reduced form gives the coefficient solve and the degrees of freedom. Each
+step builds one object from the one before, which computes what it derives.
+Both pipelines end in one shared tail: search, coefficient solve, degrees
+of freedom and root check.
 
 The surface is not convex, so the search is a deterministic two-stage
 procedure inside a fixed box (:class:`PipelineConfig`): an exhaustive coarse
@@ -29,13 +30,13 @@ from typing import ClassVar
 
 import numpy as np
 
-from .covariance import TimeSeries, build_toeplitz, cholesky, estimate_lags
+from .covariance import TimeSeries, ToeplitzCovariance, cholesky, estimate_lags
 from .errors import InvalidOrderError, KmaxentError, PipelineError
 from .estimators import (
     EstimateResult,
     Method,
     RidgeMarginal,
-    build_whittle_design,
+    WhittleDesign,
     kernel_me,
     kernel_pem,
     lagged_gram,
@@ -245,9 +246,9 @@ def run_pipeline(
     """Full kernel-based maximum-entropy estimation.
 
     Executes, in order: preliminary leading-coefficient estimate (Yule-Walker
-    at order ``low_order``), covariance lags and Toeplitz assembly at order
-    ``n``, Cholesky factorization (with capped jitter), whitened design
-    construction, marginal-likelihood hyperparameter search, and the
+    at order ``low_order``), covariance lags and their ToeplitzCovariance at
+    order ``n``, Cholesky factorization (with capped jitter), the factor's
+    WhittleDesign, marginal-likelihood hyperparameter search, and the
     closed-form coefficient solve at the selected hyperparameters; degrees of
     freedom (from the search's reduced form) and the minimum-phase root check
     are evaluated on the result, all on the covariance the factor carries
@@ -259,9 +260,9 @@ def run_pipeline(
     kernel_family = KernelFamily(kernel_family)
     b0 = _step("preliminary_b0", preliminary_b0, y, low_order)
     lags = _step("estimate_lags", estimate_lags, y, n)
-    cov = _step("build_toeplitz", build_toeplitz, lags)
+    cov = _step("build_toeplitz", ToeplitzCovariance, lags)
     factor = _step("cholesky", cholesky, cov)
-    design = _step("whittle_design", build_whittle_design, factor, b0, N)
+    design = _step("whittle_design", WhittleDesign, factor, b0, N)
     objective = _step("hyperparameters", RidgeMarginal.whittle, design, kernel_family)
     return _fit("me", kernel_family, objective, partial(kernel_me, design), factor.jitter)
 

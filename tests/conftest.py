@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from kmaxent.covariance import build_toeplitz, cholesky, estimate_lags
-from kmaxent.estimators import build_whittle_design, preliminary_b0
+from kmaxent.covariance import ToeplitzCovariance, cholesky, estimate_lags
+from kmaxent.estimators import WhittleDesign, preliminary_b0
 from kmaxent.simulate import benchmark_arma, generate
 
 
@@ -17,9 +17,9 @@ def benchmark_setup(benchmark_series):
     """Order-50 covariance, factor, and whitened design for the fixed series."""
     y = benchmark_series
     b0 = preliminary_b0(y, 4)
-    cov = build_toeplitz(estimate_lags(y, 50))
+    cov = ToeplitzCovariance(estimate_lags(y, 50))
     factor = cholesky(cov)
-    design = build_whittle_design(factor, b0, y.n_samples)
+    design = WhittleDesign(factor, b0, y.n_samples)
     return y, cov, factor, design
 
 

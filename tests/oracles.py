@@ -10,7 +10,7 @@ import numpy as np
 import scipy.linalg
 import scipy.optimize
 
-from kmaxent.covariance import TimeSeries, ToeplitzCovariance, build_toeplitz, estimate_lags
+from kmaxent.covariance import TimeSeries, ToeplitzCovariance, estimate_lags
 from kmaxent.errors import DataParseError, InvalidHyperparameterError, InvalidOrderError
 from kmaxent.estimators import (
     PredictorPolynomial,
@@ -45,7 +45,7 @@ def me_bic_by_order(y: TimeSeries, n_max: int) -> tuple[PredictorPolynomial, int
     lags = estimate_lags(y, n_max)
     best_bic, best = np.inf, None
     for n in range(1, n_max + 1):
-        b = yule_walker(build_toeplitz(lags[: n + 1]))
+        b = yule_walker(ToeplitzCovariance(lags[: n + 1]))
         bic = -2.0 * N * np.log(b.coeffs[0]) + n * np.log(N)
         if bic < best_bic:
             best_bic, best = bic, (b, n)

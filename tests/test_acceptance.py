@@ -10,11 +10,11 @@ import numpy as np
 import pytest
 
 import kmaxent.cli as cli
-from kmaxent.covariance import build_toeplitz, cholesky, estimate_lags
+from kmaxent.covariance import ToeplitzCovariance, cholesky, estimate_lags
 from kmaxent.diagnostics import degrees_of_freedom
 from kmaxent.estimators import (
     Method,
-    build_whittle_design,
+    WhittleDesign,
     check_min_phase,
     kernel_me,
     preliminary_b0,
@@ -48,8 +48,8 @@ def report(number, name, ok, detail=""):
 
 def whitened_setup(y, n, low_order=4):
     b0 = preliminary_b0(y, low_order)
-    cov = build_toeplitz(estimate_lags(y, n))
-    design = build_whittle_design(cholesky(cov), b0, y.n_samples)
+    cov = ToeplitzCovariance(estimate_lags(y, n))
+    design = WhittleDesign(cholesky(cov), b0, y.n_samples)
     return cov, design
 
 
@@ -134,7 +134,7 @@ def test_criterion_05_degrees_of_freedom():
     for family in KernelFamily:
         for n in (10, 50):
             y = generate(random_arma(rng.integers(0, 2**63)), 500, rng.integers(0, 2**63))
-            cov = build_toeplitz(estimate_lags(y, n))
+            cov = ToeplitzCovariance(estimate_lags(y, n))
             df = degrees_of_freedom(cov, family, Hyperparameters(1e12, 0.85), 500)
             worst_limit = max(worst_limit, abs(df - (n + 1)))
     # (b) monotone in lambda, (c) bounded, over 50 instances x 20-point grid
@@ -144,7 +144,7 @@ def test_criterion_05_degrees_of_freedom():
     for trial in range(50):
         n = int(rng.integers(3, 40))
         y = generate(random_arma(rng.integers(0, 2**63)), 300, rng.integers(0, 2**63))
-        cov = build_toeplitz(estimate_lags(y, n))
+        cov = ToeplitzCovariance(estimate_lags(y, n))
         beta = float(rng.uniform(0.1, 0.95))
         family = KernelFamily.DI if trial % 2 == 0 else KernelFamily.TC
         dfs = np.array([
@@ -269,7 +269,7 @@ def test_criterion_10_oracle_equivalence(benchmark_series):
     lag_gap = float(np.max(np.abs(lags - naive_lags(y.samples, 50))
                            / np.abs(naive_lags(y.samples, 50))))
     # yule-walker vs dense inverse
-    cov = build_toeplitz(lags)
+    cov = ToeplitzCovariance(lags)
     from kmaxent.estimators import yule_walker
 
     b_yw = yule_walker(cov)

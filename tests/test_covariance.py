@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kmaxent.covariance import (
+    CholeskyFactor,
     TimeSeries,
     ToeplitzCovariance,
-    build_toeplitz,
     cholesky,
     estimate_lags,
 )
@@ -157,30 +157,30 @@ class TestLagSums:
 
 class TestBuildToeplitz:
     def test_scalar(self):
-        cov = build_toeplitz(np.array([1.0]))
+        cov = ToeplitzCovariance(np.array([1.0]))
         assert cov.matrix.shape == (1, 1) and cov.matrix[0, 0] == 1.0
         assert cov.order == 0
 
     def test_two_by_two(self):
-        cov = build_toeplitz(np.array([2.0, 1.0]))
+        cov = ToeplitzCovariance(np.array([2.0, 1.0]))
         np.testing.assert_array_equal(cov.matrix, [[2.0, 1.0], [1.0, 2.0]])
 
     def test_corner_entries(self):
-        cov = build_toeplitz(np.array([1.0, 0.5, 0.25]))
+        cov = ToeplitzCovariance(np.array([1.0, 0.5, 0.25]))
         assert cov.matrix[0, 2] == 0.25 and cov.matrix[2, 0] == 0.25
 
     @given(st.lists(st.floats(-5, 5), min_size=1, max_size=12))
     @settings(max_examples=50, deadline=None)
     def test_entry_rule_is_exact(self, values):
         lags = np.asarray(values)
-        cov = build_toeplitz(lags)
+        cov = ToeplitzCovariance(lags)
         size = lags.size
         for i in range(size):
             for j in range(size):
                 assert cov.matrix[i, j] == lags[abs(i - j)]
 
     def test_pipeline_matches_naive_oracle(self, benchmark_series):
-        cov = build_toeplitz(estimate_lags(benchmark_series, 20))
+        cov = ToeplitzCovariance(estimate_lags(benchmark_series, 20))
         oracle = naive_lags(benchmark_series.samples, 20)
         for i in range(21):
             for j in range(21):
@@ -189,27 +189,39 @@ class TestBuildToeplitz:
 
     def test_rejects_empty_and_non_finite(self):
         with pytest.raises(InvalidDataError):
-            build_toeplitz(np.array([]))
+            ToeplitzCovariance(np.array([]))
         with pytest.raises(InvalidDataError):
-            build_toeplitz(np.array([1.0, np.nan]))
+            ToeplitzCovariance(np.array([1.0, np.nan]))
 
     def test_keeps_read_only_copies_of_its_inputs(self):
         lags = np.array([1.0, 0.5])
-        cov = build_toeplitz(lags)
+        cov = ToeplitzCovariance(lags)
         lags[0] = 9.0
         assert cov.lags[0] == 1.0 and cov.matrix[0, 0] == 1.0
-        matrix = np.array([[4.0, 2.0], [2.0, 4.0]])
-        direct = ToeplitzCovariance(lags=np.array([4.0, 2.0]), matrix=matrix)
-        matrix[0, 0] = 9.0
-        assert direct.matrix[0, 0] == 4.0
-        for kept in (cov.lags, cov.matrix, direct.lags, direct.matrix):
+        for kept in (cov.lags, cov.matrix):
             with pytest.raises(ValueError):
                 kept[0] = 0.0
+
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=60))
+    @settings(max_examples=50, deadline=None)
+    def test_matrix_is_computed_from_any_finite_lags(self, values):
+        cov = ToeplitzCovariance(values)
+        size = len(values)
+        for i in range(size):
+            for j in range(size):
+                assert cov.matrix[i, j] == values[abs(i - j)]
+        assert np.array_equal(cov.matrix, cov.matrix.T)
+        assert not cov.matrix.flags.writeable
+
+    def test_matrix_is_not_an_argument(self):
+        # the matrix is derived, so one that disagrees with the lags cannot be passed in
+        with pytest.raises(TypeError):
+            cholesky(ToeplitzCovariance(lags=[1, 0], matrix=[[1, 2], [2, 1]]))
 
 
 class TestCholesky:
     def test_identity(self):
-        cov = build_toeplitz(np.array([1.0, 0.0, 0.0]))
+        cov = ToeplitzCovariance(np.array([1.0, 0.0, 0.0]))
         factor = cholesky(cov)
         np.testing.assert_array_equal(factor.L, np.eye(3))
         assert factor.jitter == 0.0
@@ -221,7 +233,7 @@ class TestCholesky:
         ids=["first-shift", "two-escalations"],
     )
     def test_factor_carries_the_shifted_covariance(self, lags, jitter):
-        cov = build_toeplitz(np.array(lags))
+        cov = ToeplitzCovariance(np.array(lags))
         factor = cholesky(cov)
         assert factor.jitter == pytest.approx(jitter, rel=1e-12)
         assert factor.cov.lags[0] == 1.0 + factor.jitter
@@ -229,27 +241,36 @@ class TestCholesky:
         assert np.array_equal(factor.L, np.linalg.cholesky(factor.cov.matrix))
 
     def test_hand_worked_2x2(self):
-        cov = ToeplitzCovariance(
-            lags=np.array([4.0, 2.0]), matrix=np.array([[4.0, 2.0], [2.0, 5.0]])
-        )
-        factor = cholesky(cov)
-        np.testing.assert_allclose(factor.L, [[2.0, 0.0], [1.0, 2.0]], rtol=1e-15)
+        factor = cholesky(ToeplitzCovariance(np.array([4.0, 2.0])))
+        np.testing.assert_allclose(factor.L, [[2.0, 0.0], [1.0, np.sqrt(3.0)]], rtol=1e-15)
+
+    def test_factor_is_computed_from_its_covariance(self):
+        cov = ToeplitzCovariance(np.array([4.0, 2.0]))
+        with pytest.raises(TypeError):
+            CholeskyFactor(L=np.eye(2), cov=cov)
+        factor = CholeskyFactor(cov)
+        assert np.array_equal(factor.L, np.linalg.cholesky(cov.matrix))
+        assert factor.jitter == 0.0 and factor.cov is cov
+        with pytest.raises(ValueError):
+            factor.L[1, 1] = 0.0
+        with pytest.raises(np.linalg.LinAlgError):
+            CholeskyFactor(ToeplitzCovariance(np.array([1.0, 2.0])))
 
     def test_reconstruction_ar2_51(self):
         lags = ar2_lag_sequence(1.2, -0.5, 50)
-        cov = build_toeplitz(lags)
+        cov = ToeplitzCovariance(lags)
         factor = cholesky(cov)
         rel = np.linalg.norm(factor.L @ factor.L.T - cov.matrix) / np.linalg.norm(cov.matrix)
         assert rel <= 1e-10
 
     def test_lower_triangular_positive_diagonal(self, benchmark_series):
         for n in (1, 5, 20, 50):
-            factor = cholesky(build_toeplitz(estimate_lags(benchmark_series, n)))
+            factor = cholesky(ToeplitzCovariance(estimate_lags(benchmark_series, n)))
             assert np.array_equal(factor.L, np.tril(factor.L))
             assert np.all(np.diag(factor.L) > 0)
 
     def test_jitter_repairs_singular_matrix(self):
-        cov = build_toeplitz(np.array([1.0, 1.0]))  # eigenvalues {0, 2}
+        cov = ToeplitzCovariance(np.array([1.0, 1.0]))  # eigenvalues {0, 2}
         factor = cholesky(cov)
         assert factor.jitter > 0
         repaired = cov.matrix + factor.jitter * np.eye(2)
@@ -258,6 +279,6 @@ class TestCholesky:
 
     def test_jitter_cap_insufficient_raises(self):
         # eigenvalue -1 cannot be repaired by shifts up to 1e-4 * r_0
-        cov = build_toeplitz(np.array([1.0, 2.0]))
+        cov = ToeplitzCovariance(np.array([1.0, 2.0]))
         with pytest.raises(NotPositiveDefiniteError):
             cholesky(cov)

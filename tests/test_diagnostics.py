@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kmaxent.covariance import build_toeplitz, estimate_lags
+from kmaxent.covariance import ToeplitzCovariance, estimate_lags
 from kmaxent.diagnostics import degrees_of_freedom, shrinkage_df
 from kmaxent.errors import InvalidOrderError
 from kmaxent.hyperopt import run_pipeline
@@ -27,7 +27,7 @@ class TestDegreesOfFreedom:
         n, N, lam, beta = 7, 100, 0.3, 0.6
         lags = np.zeros(n + 1)
         lags[0] = 1.0
-        cov = build_toeplitz(lags)
+        cov = ToeplitzCovariance(lags)
         df = degrees_of_freedom(cov, KernelFamily.DI, Hyperparameters(lam, beta), N)
         k = np.arange(1, n + 2)
         expected = np.sum(1.0 / (1.0 + 1.0 / ((N - n) * lam * beta**k)))
@@ -40,7 +40,7 @@ class TestDegreesOfFreedom:
             n = int(rng.integers(3, 30))
             model = random_arma(rng.integers(0, 2**63))
             y = generate(model, 300, rng.integers(0, 2**63))
-            cov = build_toeplitz(estimate_lags(y, n))
+            cov = ToeplitzCovariance(estimate_lags(y, n))
             beta = float(rng.uniform(0.1, 0.95))
             family = KernelFamily.DI if trial % 2 == 0 else KernelFamily.TC
             dfs = np.array(

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.signal
 
 from kmaxent.covariance import (
     TimeSeries,
-    build_toeplitz,
+    ToeplitzCovariance,
     cholesky,
     estimate_lags,
 )
@@ -13,7 +14,7 @@ from kmaxent.estimators import (
     EstimateResult,
     Method,
     PredictorPolynomial,
-    build_whittle_design,
+    WhittleDesign,
     check_min_phase,
     kernel_me,
     kernel_pem,
@@ -47,14 +48,14 @@ def ar_series(coeffs, N, seed, sigma=1.0, burn=500):
 
 class TestYuleWalker:
     def test_white_noise_diagonal(self):
-        cov = build_toeplitz(np.array([4.0, 0.0, 0.0, 0.0]))
+        cov = ToeplitzCovariance(np.array([4.0, 0.0, 0.0, 0.0]))
         b = yule_walker(cov)
         np.testing.assert_allclose(b.coeffs, [0.5, 0.0, 0.0, 0.0], atol=1e-15)
 
     def test_ar1_exact_lags(self):
         rho = 0.5
         lags = rho ** np.arange(2) / (1 - rho**2)
-        b = yule_walker(build_toeplitz(lags))
+        b = yule_walker(ToeplitzCovariance(lags))
         np.testing.assert_allclose(b.coeffs, [1.0, -0.5], rtol=1e-12)
         ok, max_mod = check_min_phase(b)
         assert ok and abs(max_mod - 0.5) < 1e-12
@@ -81,7 +82,7 @@ class TestYuleWalker:
             model = random_arma(seed)
             y = generate(model, 400, seed + 1000)
             for n in (3, 12, 35):
-                b = yule_walker(build_toeplitz(estimate_lags(y, n)))
+                b = yule_walker(ToeplitzCovariance(estimate_lags(y, n)))
                 ok, _ = check_min_phase(b)
                 assert ok
 
@@ -140,7 +141,7 @@ class TestMeBic:
 
     def test_factor_diagonal_is_every_orders_error_variance(self, benchmark_series):
         # sigma_n^2 = 1 / (Sigma_n^{-1})_00 for the leading order-n block
-        matrix = build_toeplitz(estimate_lags(benchmark_series, 50)).matrix
+        matrix = ToeplitzCovariance(estimate_lags(benchmark_series, 50)).matrix
         L = np.linalg.cholesky(matrix)
         for n in range(51):
             dense = 1.0 / np.linalg.inv(matrix[: n + 1, : n + 1])[0, 0]
@@ -161,7 +162,7 @@ class TestPreliminaryB0:
     def test_matches_independent_yw_oracle(self, benchmark_series):
         got = preliminary_b0(benchmark_series, 4)
         lags = estimate_lags(benchmark_series, 4)
-        sigma = build_toeplitz(lags).matrix
+        sigma = ToeplitzCovariance(lags).matrix
         a = np.linalg.inv(sigma)[:, 0]
         assert abs(got - np.sqrt(a[0])) <= 1e-10 * abs(got)
 
@@ -172,8 +173,8 @@ class TestPreliminaryB0:
 
 class TestWhittleDesign:
     def test_identity_factor(self):
-        factor = cholesky(build_toeplitz([1.0, 0.0, 0.0]))
-        design = build_whittle_design(factor, 1.0, 6)
+        factor = cholesky(ToeplitzCovariance([1.0, 0.0, 0.0]))
+        design = WhittleDesign(factor, 1.0, 6)
         np.testing.assert_allclose(design.v_tilde, [2.0, 0.0, 0.0], atol=1e-15)
         np.testing.assert_allclose(design.phi_data, 2.0 * np.eye(3), atol=1e-15)
         assert design.n_eff == 4
@@ -185,12 +186,28 @@ class TestWhittleDesign:
         rel = np.linalg.norm(gram - target) / np.linalg.norm(target)
         assert rel <= 1e-10
 
+    def test_fields_are_the_documented_forms(self, benchmark_setup):
+        _, cov, factor, design = benchmark_setup
+        N, n = design.N, cov.order
+        e1 = np.zeros(n + 1)
+        e1[0] = 1.0
+        root = np.sqrt(N - n)
+        linv_e1 = scipy.linalg.solve_triangular(factor.L, e1, lower=True)
+        assert np.array_equal(design.v_tilde, (root / design.b0_prelim) * linv_e1)
+        assert np.array_equal(design.phi_data, root * factor.L.T)
+        assert design.n_eff == N - n and design.cov is factor.cov
+        for kept in (design.v_tilde, design.phi_data):
+            with pytest.raises(ValueError):
+                kept[0] = 0.0
+        with pytest.raises(TypeError):
+            WhittleDesign(v_tilde=design.v_tilde, factor=factor, b0_prelim=1.0, N=N)
+
     def test_rejects_degenerate_inputs(self):
-        factor = cholesky(build_toeplitz([1.0, 0.0, 0.0]))
+        factor = cholesky(ToeplitzCovariance([1.0, 0.0, 0.0]))
         with pytest.raises(InvalidOrderError):
-            build_whittle_design(factor, 1.0, 2)
+            WhittleDesign(factor, 1.0, 2)
         with pytest.raises(InvalidDataError):
-            build_whittle_design(factor, 0.0, 6)
+            WhittleDesign(factor, 0.0, 6)
 
 
 class TestKernelMe:
@@ -254,8 +271,8 @@ class TestKernelMe:
         def fit(samples, lam_value):
             y = TimeSeries(samples)
             b0 = preliminary_b0(y, 4)
-            cov = build_toeplitz(estimate_lags(y, n))
-            design = build_whittle_design(cholesky(cov), b0, N)
+            cov = ToeplitzCovariance(estimate_lags(y, n))
+            design = WhittleDesign(cholesky(cov), b0, N)
             return kernel_me(design, KernelFamily.TC, Hyperparameters(lam_value, beta))
 
         base = fit(benchmark_series.samples, lam)

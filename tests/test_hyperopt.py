@@ -9,7 +9,7 @@ from kmaxent import hyperopt
 from kmaxent.covariance import (
     CholeskyFactor,
     TimeSeries,
-    build_toeplitz,
+    ToeplitzCovariance,
     cholesky,
     estimate_lags,
 )
@@ -22,7 +22,7 @@ from kmaxent.errors import (
 )
 from kmaxent.estimators import (
     Method,
-    build_whittle_design,
+    WhittleDesign,
     kernel_me,
     kernel_pem,
     lagged_gram,
@@ -56,8 +56,8 @@ GRID_BETAS = np.linspace(0.05, 0.95, 19)
 
 def whittle_objective(y, n, family, low_order=4):
     b0 = preliminary_b0(y, low_order)
-    cov = build_toeplitz(estimate_lags(y, n))
-    design = build_whittle_design(cholesky(cov), b0, y.n_samples)
+    cov = ToeplitzCovariance(estimate_lags(y, n))
+    design = WhittleDesign(cholesky(cov), b0, y.n_samples)
     return MarginalObjective(design=design, kernel_family=family, N=y.n_samples, n=n)
 
 
@@ -209,6 +209,32 @@ class TestRidgeMarginalCore:
             assert value_star[j] <= scan + tol
             exact = cholesky_neg_log_marginal(obj, Hyperparameters(float(lam_star[j]), beta))
             assert abs(value_star[j] - exact) <= 1e-10 * max(1.0, abs(exact))
+
+    @pytest.mark.parametrize("family", list(KernelFamily))
+    def test_whittle_is_the_constructor_on_the_design_gram(self, family, benchmark_setup):
+        _, cov, _, design = benchmark_setup
+        n = cov.order
+        moment = np.zeros(n + 1)
+        moment[0] = design.n_eff / design.b0_prelim
+        target = design.v_tilde @ design.v_tilde
+        direct = RidgeMarginal(design.n_eff * cov.matrix, moment, target, family, n + 1)
+        whittle = RidgeMarginal.whittle(design, family)
+        for f in dataclasses.fields(RidgeMarginal):
+            a, b = getattr(direct, f.name), getattr(whittle, f.name)
+            assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b, f.name
+
+    def test_keeps_read_only_copies_of_the_gram(self, benchmark_series):
+        # the di reduced Gram is the gram[1:, 1:] block, which must not alias
+        # the caller's matrix
+        gram = lagged_gram(benchmark_series, 10)
+        obj = RidgeMarginal.regression(gram, preliminary_b0(benchmark_series), KernelFamily.DI)
+        before = obj.profile(GRID_LAMS, GRID_BETAS)
+        gram[1, 1] = gram[1, 0] = 1e9
+        for old, new in zip(before, obj.profile(GRID_LAMS, GRID_BETAS)):
+            assert np.array_equal(old, new)
+        for kept in (obj.reduced_gram, obj.reduced_moment):
+            with pytest.raises(ValueError):
+                kept[0] = 0.0
 
     @pytest.mark.parametrize("family", list(KernelFamily))
     def test_pem_df_matches_dense_trailing_root(self, family, benchmark_series):
@@ -412,15 +438,15 @@ class TestRunPipeline:
         factors = []
 
         def jittered(cov):
-            repaired = build_toeplitz(np.concatenate(([cov.lags[0] + eps], cov.lags[1:])))
-            factors.append(CholeskyFactor(np.linalg.cholesky(repaired.matrix), repaired, eps))
+            repaired = ToeplitzCovariance(np.concatenate(([cov.lags[0] + eps], cov.lags[1:])))
+            factors.append(CholeskyFactor(repaired, eps))
             return factors[-1]
 
         monkeypatch.setattr(hyperopt, "cholesky", jittered)
         result = run_pipeline(y, n, family)
         (factor,) = factors
         assert result.jitter_used == eps
-        design = build_whittle_design(factor, preliminary_b0(y, 4), y.n_samples)
+        design = WhittleDesign(factor, preliminary_b0(y, 4), y.n_samples)
         expected = kernel_me(design, family, result.eta_hat)
         assert np.array_equal(result.b_hat.coeffs, expected.coeffs)
         assert result.df == degrees_of_freedom(factor.cov, family, result.eta_hat, y.n_samples)
