@@ -1,14 +1,15 @@
 """Covariance-lag estimation and Toeplitz assembly / factorization.
 
 The sample covariance lags use the biased estimator (divisor N), which keeps
-the assembled Toeplitz matrix positive semidefinite by construction; a
-capped shift of r_0 repairs the rare numerically indefinite case, and the
-factor keeps the shifted covariance it factors, so every later step reads
-one matrix. :class:`ToeplitzCovariance` computes its matrix from its lags
-and :class:`CholeskyFactor` its factor from its covariance, so no pair can
-disagree. The lag sums P_k are computed once per series and kept on it
-(:meth:`TimeSeries.lag_sums`), so ME-BIC, the preliminary b_0, kernel-ME's
-Toeplitz matrix and kernel-PEM's Gram all read the same numbers.
+the assembled Toeplitz matrix positive semidefinite by construction.
+:func:`cholesky` factors every Toeplitz matrix, for ME-BIC, the preliminary
+b_0 and kernel-ME alike; its capped shift of r_0 repairs the rare
+numerically indefinite case, and the factor keeps the shifted covariance, so
+every later step reads one matrix. :class:`ToeplitzCovariance` computes its
+matrix from its lags and :class:`CholeskyFactor` its factor from its
+covariance, so no pair can disagree. The lag sums P_k are computed once per
+series and kept on it (:meth:`TimeSeries.lag_sums`), so every estimator
+reads the same numbers.
 """
 
 from __future__ import annotations

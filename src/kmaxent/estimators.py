@@ -35,7 +35,7 @@ from dataclasses import InitVar, dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .covariance import CholeskyFactor, TimeSeries, ToeplitzCovariance, estimate_lags
+from .covariance import CholeskyFactor, TimeSeries, ToeplitzCovariance, cholesky, estimate_lags
 from .errors import InvalidDataError, InvalidOrderError, NotPositiveDefiniteError
 from .kernels import Hyperparameters, KernelFamily, KernelSpec, root_scale
 
@@ -151,28 +151,25 @@ class EstimateResult:
         object.__setattr__(self, "max_root_modulus", max_modulus)
 
 
-def _cho_factor(matrix: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Lower Cholesky factor of an SPD matrix, mapping failure to a package error."""
-    try:
-        return scipy.linalg.cho_factor(matrix, lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
-        raise NotPositiveDefiniteError(str(exc)) from exc
-
-
 def _solve_spd(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve an SPD system by Cholesky, mapping failure to a package error."""
-    return scipy.linalg.cho_solve(_cho_factor(matrix), rhs, check_finite=False)
+    """Solve an SPD system by Cholesky; with no repair, failure is a named error."""
+    try:
+        L = np.linalg.cholesky(matrix)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefiniteError(str(exc)) from exc
+    return scipy.linalg.cho_solve((L, True), rhs, check_finite=False)
 
 
 def yule_walker(cov: ToeplitzCovariance) -> PredictorPolynomial:
     """Classical maximum-entropy solve: a = Sigma^{-1} e_1, b = a / sqrt(a_0).
 
-    a_0 > 0 is guaranteed by positive definiteness (it is a diagonal entry of
-    the inverse); a solve that overflows is named by the finite check of b.
+    Sigma is factored by :func:`cholesky`, with its r_0 repair, so a_0 > 0;
+    a solve that overflows is named by the finite check of b.
     """
+    factor = cholesky(cov)
     v = np.zeros(cov.order + 1)
     v[0] = 1.0
-    a = _solve_spd(cov.matrix, v)
+    a = scipy.linalg.cho_solve((factor.L, True), v, check_finite=False)
     with np.errstate(over="ignore", invalid="ignore"):
         return PredictorPolynomial(a / np.sqrt(a[0]))
 
@@ -185,7 +182,7 @@ def _variance_lags(y: TimeSeries, n: int) -> np.ndarray:
     return lags
 
 
-def me_bic(y: TimeSeries, n_max: int) -> tuple[PredictorPolynomial, int]:
+def me_bic(y: TimeSeries, n_max: int) -> EstimateResult:
     """Yule-Walker fit with BIC order selection over n = 1..n_max.
 
     BIC(n) = N log(sigma_n^2) + n log N, where sigma_n^2 = 1 / a_0(n) is the
@@ -193,18 +190,20 @@ def me_bic(y: TimeSeries, n_max: int) -> tuple[PredictorPolynomial, int]:
     Toeplitz matrix is the leading block of the order-n_max one, and by
     persymmetry 1 / a_0(n) = 1 / (Sigma_n^{-1})_{nn} = L_nn^2, with L the
     Cholesky factor of Sigma_{n_max}. One factorization therefore gives every
-    order's variance, and Yule-Walker is solved once, at the chosen order.
+    order's variance, and Yule-Walker is solved once, at the chosen order, on
+    the factor's lags. :func:`cholesky` factors Sigma_{n_max}; its r_0 shift
+    is the result's ``jitter_used``, and df is the chosen order plus one.
     Ties are broken toward the smaller order. Raises NotPositiveDefiniteError
     when the series has zero variance or Sigma_{n_max} cannot be factored.
     """
     N = y.n_samples
     if not 1 <= n_max < N:
         raise InvalidOrderError(f"n_max={n_max} must satisfy 1 <= n_max < N={N}")
-    lags = _variance_lags(y, n_max)
-    L, _ = _cho_factor(ToeplitzCovariance(lags).matrix)
-    bic = 2.0 * N * np.log(np.diag(L)[1:]) + np.arange(1, n_max + 1) * np.log(N)
+    factor = cholesky(ToeplitzCovariance(_variance_lags(y, n_max)))
+    bic = 2.0 * N * np.log(np.diag(factor.L)[1:]) + np.arange(1, n_max + 1) * np.log(N)
     n = int(np.argmin(bic)) + 1  # the first minimum: the smaller order wins ties
-    return yule_walker(ToeplitzCovariance(lags[: n + 1])), n
+    b = yule_walker(ToeplitzCovariance(factor.cov.lags[: n + 1]))
+    return EstimateResult(b, None, float(n + 1), Method.ME, jitter_used=factor.jitter, chosen_n=n)
 
 
 def preliminary_b0(y: TimeSeries, low_order: int = 4) -> float:

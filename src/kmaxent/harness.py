@@ -132,15 +132,14 @@ def trial_seed(master_seed: int, run_index: int, stream: int) -> np.random.SeedS
 def fit_method(method: Method, y: TimeSeries, cfg: ExperimentConfig) -> EstimateResult:
     """Run one estimator on one series.
 
-    ``me`` is Yule-Walker at the BIC order, with df = chosen order + 1. Any
-    other tag reads ``<route>-<family>``: route ``me`` runs
-    :func:`run_pipeline` and ``pem`` :func:`run_pem_pipeline`, with kernel
-    family ``di`` or ``tc``. Every result carries the root check that
-    :class:`EstimateResult` runs when it is built.
+    ``me`` runs :func:`me_bic`; any other tag reads ``<route>-<family>``:
+    route ``me`` runs :func:`run_pipeline` and ``pem`` :func:`run_pem_pipeline`,
+    with kernel family ``di`` or ``tc``. Every route factors its Toeplitz
+    matrices by :func:`covariance.cholesky`, and every result carries the
+    root check that :class:`EstimateResult` runs when it is built.
     """
     if method is Method.ME:
-        b_hat, chosen = me_bic(y, cfg.n)
-        return EstimateResult(b_hat, None, float(chosen + 1), Method.ME, chosen_n=chosen)
+        return me_bic(y, cfg.n)
     route, family = method.value.split("-")
     pipeline = run_pipeline if route == "me" else run_pem_pipeline
     return pipeline(y, cfg.n, KernelFamily(family), cfg.low_order)

@@ -23,6 +23,7 @@ from kmaxent.estimators import (
     preliminary_b0,
     yule_walker,
 )
+from kmaxent.hyperopt import run_pipeline
 from kmaxent.kernels import Hyperparameters, KernelFamily, KernelSpec, inverse_factorization
 from kmaxent.simulate import generate, random_arma
 from oracles import (
@@ -36,6 +37,15 @@ from oracles import (
 
 # (lam, beta) at the corners of the hyperparameter search box
 BOX_CORNERS = [(lam, beta) for lam in (1e-4, 1e4) for beta in (0.05, 0.95)]
+
+
+# (width, centre) of the N=500 bumps whose order-50 Toeplitz matrix needs jitter
+BUMPS_NEEDING_JITTER = [(w, c) for w in (10, 20) for c in (100, 250, 400)] + [(40, 250), (60, 250)]
+
+
+def bump_series(N, width, centre):
+    """The Gaussian bump y_t = exp(-((t - centre) / width)^2), t = 0..N-1."""
+    return TimeSeries(np.exp(-(((np.arange(N) - centre) / width) ** 2)))
 
 
 def ar_series(coeffs, N, seed, sigma=1.0, burn=500):
@@ -93,22 +103,20 @@ class TestMeBic:
         for seed in range(100):
             rng = np.random.default_rng(seed)
             y = TimeSeries(rng.standard_normal(5000))
-            _, chosen = me_bic(y, 30)
-            hits += chosen == 1
+            hits += me_bic(y, 30).chosen_n == 1
         assert hits >= 80
 
     def test_ar2_recovered(self):
         hits = 0
         for seed in range(100):
             y = ar_series([1.5, -0.7], 5000, seed)
-            _, chosen = me_bic(y, 20)
-            hits += chosen == 2
+            hits += me_bic(y, 20).chosen_n == 2
         assert hits > 50
 
     def test_degenerate_single_candidate(self):
         y = ar_series([0.5], 200, 3)
-        b, chosen = me_bic(y, 1)
-        assert chosen == 1 and b.order == 1
+        fit = me_bic(y, 1)
+        assert fit.chosen_n == 1 and fit.b_hat.order == 1
 
     def test_invalid_order(self):
         y = TimeSeries(np.arange(10.0))
@@ -119,10 +127,10 @@ class TestMeBic:
 
     @staticmethod
     def assert_matches_order_loop(y, n_max):
-        b, chosen = me_bic(y, n_max)
+        fit = me_bic(y, n_max)
         b_ref, chosen_ref = me_bic_by_order(y, n_max)
-        assert chosen == chosen_ref
-        np.testing.assert_allclose(b.coeffs, b_ref.coeffs, rtol=1e-12, atol=0.0)
+        assert fit.chosen_n == chosen_ref
+        np.testing.assert_allclose(fit.b_hat.coeffs, b_ref.coeffs, rtol=1e-12, atol=0.0)
 
     def test_matches_order_loop_on_random_arma(self):
         for seed in range(40):
@@ -150,6 +158,16 @@ class TestMeBic:
     def test_singular_covariance_is_a_named_error(self):
         with pytest.raises(NotPositiveDefiniteError):
             me_bic(TimeSeries(np.zeros(100)), 5)
+
+    @pytest.mark.parametrize("width, centre", BUMPS_NEEDING_JITTER)
+    def test_bump_series_fits_with_the_kernel_routes_repair(self, width, centre):
+        # the order-50 Toeplitz matrix of a smooth bump is numerically
+        # indefinite; ME-BIC takes the r_0 shift kernel-ME takes on it
+        y = bump_series(500, width, centre)
+        fit = me_bic(y, 50)
+        assert fit.min_phase_verified, fit.max_root_modulus
+        assert fit.jitter_used > 0
+        assert fit.jitter_used == run_pipeline(y, 50, KernelFamily.TC).jitter_used
 
 
 class TestPreliminaryB0:

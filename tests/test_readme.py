@@ -23,3 +23,4 @@ def test_quick_start_steps_reproduce_the_pipeline():
     result = scope["result"]
     assert np.array_equal(scope["b_me"].coeffs, result.b_hat.coeffs)
     assert scope["df"] == result.df
+    assert scope["me"].chosen_n == scope["me"].b_hat.order
