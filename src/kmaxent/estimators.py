@@ -37,7 +37,7 @@ import scipy.linalg
 
 from .covariance import CholeskyFactor, TimeSeries, ToeplitzCovariance, cholesky, estimate_lags
 from .errors import InvalidDataError, InvalidOrderError, NotPositiveDefiniteError
-from .kernels import Hyperparameters, KernelFamily, KernelSpec, root_scale
+from .kernels import Hyperparameters, KernelFamily, KernelSpec, root_scale, root_scale_log_slope
 
 
 class Method(str, enum.Enum):
@@ -54,8 +54,8 @@ class Method(str, enum.Enum):
 class PredictorPolynomial:
     """Coefficients [b_0 ... b_n] of the estimated inverse spectral factor.
 
-    ``coeffs`` is a read-only copy of the input, so the cached :attr:`roots`
-    always belong to it.
+    ``coeffs`` is a read-only copy of the input, so the cached
+    :attr:`root_summary` always belongs to it.
     """
 
     coeffs: np.ndarray
@@ -75,16 +75,24 @@ class PredictorPolynomial:
     def order(self) -> int:
         return self.coeffs.size - 1
 
-    @functools.cached_property
+    @property
     def roots(self) -> np.ndarray:
-        """Roots of b_0 z^n + b_1 z^{n-1} + ... + b_n by ``numpy.roots``.
+        """Roots of b_0 z^n + b_1 z^{n-1} + ... + b_n by ``numpy.roots``."""
+        return np.roots(self.coeffs)
 
-        Computed on first use and kept, so the minimum-phase check and the
-        spectrum's near-singular check share one companion-matrix solve.
+    @functools.cached_property
+    def root_summary(self) -> tuple[float, tuple[complex, ...]]:
+        """(maximum root modulus, roots within 1e-12 of the unit circle).
+
+        Computed from one :attr:`roots` solve on first use and kept, so the
+        minimum-phase check and the spectrum's near-singular check share it;
+        the root array itself is not kept.
         """
-        roots = np.roots(self.coeffs)
-        roots.flags.writeable = False
-        return roots
+        roots = self.roots
+        if roots.size == 0:
+            return 0.0, ()
+        modulus = np.abs(roots)
+        return float(modulus.max()), tuple(roots[np.abs(modulus - 1.0) <= 1e-12].tolist())
 
 
 @dataclass(frozen=True)
@@ -125,7 +133,7 @@ class WhittleDesign:
         object.__setattr__(self, "cov", self.factor.cov)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EstimateResult:
     """One estimator run: coefficients plus the diagnostics surfaced with them.
 
@@ -332,30 +340,43 @@ class RidgeMarginal:
         return 0.5 * (np.log1p(lam_s).sum(axis=-1) + quad)
 
     @np.errstate(over="ignore", invalid="ignore")
-    def profile(self, lams: np.ndarray, betas) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Grid values, shape (len(lams), len(betas)), and each beta's polished
-        best lambda in the box of the ascending ``lams`` with its value.
+    def profile(self, lams: np.ndarray, betas) -> tuple[np.ndarray, ...]:
+        """Grid values, shape (len(lams), len(betas)), each beta's polished
+        best lambda in the box of the ascending ``lams`` with its value, and
+        the slope of that lambda-profiled value in beta.
 
-        One eigendecomposition A = Q diag(s) Q^T per beta gives u2 =
-        (Q^T w)^2. Each beta's grid argmin is then polished by safeguarded
-        Newton steps on x = ln lam, inside the bracket of its grid neighbours.
-        With d = 1 / (1 + lam s), a = lam s d and q = lam u2 d^2 the
-        derivatives are g = df/dx = 0.5 sum(a - q) and
-        h = d2f/dx2 = g + 0.5 sum(a (2q - a)). The value returned is never
-        above the grid minimum. A grid value that is not finite raises
-        InvalidDataError before the polish, and so does a polished one: the
-        minimum of such a trace would depend on its order. Numpy's overflow and
-        invalid-value warnings are off throughout: the finiteness checks name
-        the failure, and the polish may overflow in q on a finite grid, where
-        it bisects.
+        One eigendecomposition A = Q diag(s) Q^T per beta gives u = Q^T w.
+        Each beta's grid argmin is then polished by safeguarded Newton steps
+        on x = ln lam, inside the bracket of its grid neighbours. With
+        d = 1 / (1 + lam s), a = lam s d and q = lam u^2 d^2 the derivatives
+        are g = df/dx = 0.5 sum(a - q) and h = d2f/dx2 = g + 0.5 sum(a (2q - a)).
+        The value returned is never above the grid minimum. A grid value that
+        is not finite raises InvalidDataError before the polish, and so does a
+        polished one: the minimum of such a trace would depend on its order.
+
+        The slope dP/dbeta is exact at the returned lambda (envelope theorem:
+        it is the partial derivative in beta there). With r = d ln c / d beta
+        (:func:`~kmaxent.kernels.root_scale_log_slope`) and R = diag(r),
+        dA/dbeta = R A + A R and dw/dbeta = R w. With z = (I + lam A)^{-1} w
+        = Q (d u), which satisfies w - lam A z = z, the slope is
+        lam sum_k r_k [((Q o Q)(d s))_k - z_k^2], from the same Q. It is not
+        checked: it can be non-finite where the values are not.
+
+        Numpy's overflow and invalid-value warnings are off throughout: the
+        finiteness checks name the failure, and the polish may overflow in q
+        on a finite grid, where it bisects.
         """
         lams = np.asarray(lams, dtype=float)
-        s, u2 = np.empty((2, len(betas), self.reduced_moment.size))
+        m = self.reduced_moment.size
+        s, u, r = np.empty((3, len(betas), m))
+        Q = np.empty((len(betas), m, m))
         for j, beta in enumerate(betas):
             _, A, w = self._reduced(float(beta))
-            s[j], Q = np.linalg.eigh(A)
-            u2[j] = (Q.T @ w) ** 2
-        s = np.clip(s, 0.0, None)
+            s[j], Q[j] = np.linalg.eigh(A)
+            u[j] = Q[j].T @ w
+            spec = KernelSpec(self.family, float(beta), self.size)
+            r[j] = root_scale_log_slope(spec)[self.size - m :]
+        s, u2 = np.clip(s, 0.0, None), u**2
         values = _finite(self._score(s, u2, lams[:, None, None]))
         best = np.argmin(values, axis=0)
         x0 = np.log(lams[best])
@@ -380,7 +401,12 @@ class RidgeMarginal:
         polished = _finite(self._score(s, u2, lam[:, None]))
         grid_best = values[best, np.arange(best.size)]
         keep = polished < grid_best
-        return values, np.where(keep, lam, lams[best]), np.where(keep, polished, grid_best)
+        lam = np.where(keep, lam, lams[best])
+        d = 1.0 / (1.0 + lam[:, None] * s)
+        z = np.einsum("bki,bi->bk", Q, d * u)
+        diag = np.einsum("bki,bki,bi->bk", Q, Q, d * s)
+        slope = lam * (r * (diag - z * z)).sum(axis=1)
+        return values, lam, np.where(keep, polished, grid_best), slope
 
     def df(self, eta: Hyperparameters) -> float:
         """Ridge degrees of freedom from the eigenvalues of A at eta."""
@@ -474,12 +500,10 @@ def check_min_phase(b: PredictorPolynomial) -> tuple[bool, float]:
     """Explicit stability check of b(z) via companion-matrix eigenvalues.
 
     Roots of b_0 z^n + b_1 z^{n-1} + ... + b_n are computed with
-    ``numpy.roots`` once per polynomial (:attr:`PredictorPolynomial.roots`);
-    returns (all roots strictly inside the unit circle, maximum root
-    modulus). The inequality is strict with no tolerance slack.
+    ``numpy.roots`` once per polynomial
+    (:attr:`PredictorPolynomial.root_summary`); returns (all roots strictly
+    inside the unit circle, maximum root modulus). The inequality is strict
+    with no tolerance slack.
     """
-    roots = b.roots
-    if roots.size == 0:
-        return True, 0.0
-    max_modulus = float(np.max(np.abs(roots)))
+    max_modulus = b.root_summary[0]
     return max_modulus < 1.0, max_modulus

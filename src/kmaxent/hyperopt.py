@@ -14,11 +14,11 @@ of freedom and root check.
 The surface is not convex, so the search is a deterministic two-stage
 procedure inside a fixed box (:class:`PipelineConfig`): an exhaustive coarse
 grid over (log10 lambda, beta), then a refinement of the lambda-profiled
-likelihood. ``profile`` polishes each grid beta's best lambda, and a bounded
-Brent search (R. Brent, 1973) over beta follows, one eigendecomposition per
-beta it tries (T. Chen and L. Ljung, Automatica 2013). That search lives in
-this module (:func:`_bounded_brent`, a port of scipy's bounded scalar
-minimizer), so the betas it tries do not move with the installed scipy.
+likelihood (T. Chen and L. Ljung, Automatica 2013). ``profile`` polishes
+each grid beta's best lambda and returns the exact slope in beta of the
+profiled value, from the eigendecomposition it already holds. A safeguarded
+cubic-Hermite search over beta follows between the best grid beta and the
+neighbour its slope points to, one eigendecomposition per beta it tries.
 """
 
 from __future__ import annotations
@@ -44,7 +44,8 @@ from .estimators import (
 )
 from .kernels import Hyperparameters, KernelFamily
 
-_BETA_TOL = 1e-7  # absolute tolerance of the bounded Brent search over beta
+_BETA_TOL = 1e-7  # absolute tolerance of the refinement over beta
+_REFINE_STEPS = 40
 
 
 @dataclass(frozen=True)
@@ -52,7 +53,7 @@ class PipelineConfig:
     """The fixed search box of the kernel-based pipelines; nothing is settable.
 
     The class constants give its log10 lambda and beta ranges and grid steps,
-    17 x 19 points.
+    17 x 10 points.
     """
 
     log10_lambda_min: ClassVar[float] = -4.0
@@ -60,7 +61,7 @@ class PipelineConfig:
     log10_lambda_step: ClassVar[float] = 0.5
     beta_min: ClassVar[float] = 0.05
     beta_max: ClassVar[float] = 0.95
-    beta_step: ClassVar[float] = 0.05
+    beta_step: ClassVar[float] = 0.1
 
 
 def _box_axis(lo: float, hi: float, step: float) -> list[float]:
@@ -99,95 +100,43 @@ def neg_log_marginal(obj: RidgeMarginal, eta: Hyperparameters) -> float:
     return obj.profile(np.array([eta.lam]), [eta.beta])[0][0, 0]
 
 
-def _bounded_brent(func, lo: float, hi: float, xatol: float) -> None:
-    """Minimize ``func`` on [lo, hi] by Brent's bounded method (R. Brent,
-    1973): golden-section steps with parabolic interpolation, stopping when
-    the bracket around the best point is within about xatol of it.
-
-    A line-for-line port of scipy's ``_minimize_scalar_bounded``, with its
-    variable names, so it calls ``func`` at the same points in the same
-    order, at most 500 times (scipy's default). Callers read the evaluations
-    ``func`` records; nothing is returned.
-    """
-    sqrt_eps = math.sqrt(2.2e-16)
-    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
-    a, b = lo, hi
-    fulc = a + golden_mean * (b - a)
-    nfc, xf = fulc, fulc
-    rat = e = 0.0
-    fx = func(xf)
-    num = 1
-    ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
-    while abs(xf - xm) > tol2 - 0.5 * (b - a):
-        golden = True
-        if abs(e) > tol1:  # try a parabolic fit
-            golden = False
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r = e
-            e = rat
-            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
-                rat = (p + 0.0) / q
-                x = xf + rat
-                if (x - a) < tol2 or (b - x) < tol2:
-                    rat = tol1 if xm >= xf else -tol1
-            else:
-                golden = True
-        if golden:
-            e = (a if xf >= xm else b) - xf
-            rat = golden_mean * e
-        x = xf + (1.0 if rat >= 0.0 else -1.0) * max(abs(rat), tol1)
-        fu = func(x)
-        num += 1
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
-        else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if fu <= fnfc or nfc == xf:
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif fu <= ffulc or fulc == xf or fulc == nfc:
-                fulc, ffulc = x, fu
-        xm = 0.5 * (a + b)
-        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-        if num >= 500:
-            break
+def _cubic_minimizer(x0, f0, g0, x1, f1, g1) -> float:
+    """Minimizer of the cubic through (x0, f0) and (x1, f1) with slopes g0 and
+    g1 (J. Nocedal and S. Wright, Numerical Optimization, 2006, eq. 3.59);
+    nan when the cubic has none."""
+    d1 = g0 + g1 - 3.0 * (f0 - f1) / (x0 - x1)
+    disc = d1 * d1 - g0 * g1
+    if not disc >= 0.0:
+        return math.nan
+    d2 = math.copysign(math.sqrt(disc), x1 - x0)
+    denom = g1 - g0 + 2.0 * d2
+    return x1 - (x1 - x0) * (g1 + d2 - d1) / denom if denom != 0.0 else math.nan
 
 
 def optimize_hyperparameters(obj) -> HyperoptResult:
     """Two-stage deterministic search for (lambda, beta) inside the fixed box.
 
-    Stage 1 scores the 17 x 19 grid of :class:`PipelineConfig` in one
+    Stage 1 scores the 17 x 10 grid of :class:`PipelineConfig` in one
     ``obj.profile(lams, betas)`` call; for the ridge-marginal objectives that
     is one eigendecomposition of the reduced n x n form per beta and O(n) per
     lambda. The trace lists the grid first, ascending log10 lambda outer and
-    ascending beta inner. Stage 2 adds each grid beta's polished best lambda,
-    then runs a bounded Brent search over the lambda-profiled likelihood
-    between the grid neighbours of the best beta, one ``obj.profile`` of a
-    single beta per point. Every point stays in the box, and the returned
-    pair attains the minimum over the trace, so the result is never worse
-    than the best grid point. The ridge objectives raise InvalidDataError
-    from ``profile`` when a grid or polished value is not finite.
+    ascending beta inner, then each grid beta's polished best lambda.
+
+    Stage 2 refines beta on the lambda-profiled likelihood P(beta), whose
+    exact slope ``profile`` returns with each value. The best polished grid
+    beta and the neighbour its slope points to bracket a minimum; a slope
+    that points out of the box ends the search there. Each step goes to the
+    minimizer of the cubic through the bracket ends' values and slopes, or
+    bisects when that is undefined or outside the bracket, and costs one
+    ``obj.profile`` of a single beta. The bracket keeps at one end its lowest
+    point, whose slope points into it. The search stops when the bracket or
+    the step is within 1e-7, after 40 steps, or at a slope that is not
+    finite. Every point stays in the box, and the returned pair attains the
+    minimum over the trace, so the result is never worse than the best grid
+    point. The ridge objectives raise InvalidDataError from ``profile`` when
+    a grid or polished value is not finite.
     """
-    values, lam_star, value_star = obj.profile(_LAMS, _BETAS)
+    values, lam_star, value_star, slope = obj.profile(_LAMS, _BETAS)
     trace = [
         (lam, beta, value)
         for lam, row in zip(_LAMS.tolist(), values.tolist())
@@ -195,14 +144,27 @@ def optimize_hyperparameters(obj) -> HyperoptResult:
     ]
     trace.extend(zip(lam_star.tolist(), _BETAS, value_star.tolist()))
     j = int(np.argmin(value_star))
-    lo, hi = _BETAS[max(j - 1, 0)], _BETAS[min(j + 1, len(_BETAS) - 1)]
-
-    def profiled(beta: float) -> float:
-        _, lam, value = obj.profile(_LAMS, [float(beta)])
-        trace.append((float(lam[0]), float(beta), float(value[0])))
-        return trace[-1][2]
-
-    _bounded_brent(profiled, lo, hi, _BETA_TOL)
+    a, fa, ga = _BETAS[j], float(value_star[j]), float(slope[j])
+    k = j - 1 if ga > 0.0 else j + 1 if ga < 0.0 else -1
+    if 0 <= k < len(_BETAS) and np.isfinite(slope[[j, k]]).all():
+        b, fb, gb = _BETAS[k], float(value_star[k]), float(slope[k])
+        for _ in range(_REFINE_STEPS):
+            x = _cubic_minimizer(a, fa, ga, b, fb, gb)
+            if not min(a, b) < x < max(a, b):
+                x = 0.5 * (a + b)
+            if abs(b - a) <= _BETA_TOL or abs(x - a) <= _BETA_TOL:
+                break
+            _, lam, value, grad = obj.profile(_LAMS, [x])
+            fx, gx = float(value[0]), float(grad[0])
+            trace.append((float(lam[0]), x, fx))
+            if not math.isfinite(gx):
+                break
+            if fx > fa:
+                b, fb, gb = x, fx, gx
+            else:
+                if gx * (b - a) >= 0.0:  # the minimum now lies between a and x
+                    b, fb, gb = a, fa, ga
+                a, fa, ga = x, fx, gx
 
     lam_best, beta_best, value_best = min(trace, key=lambda entry: entry[2])
     return HyperoptResult(

@@ -47,7 +47,7 @@ class KernelSpec:
             raise InvalidHyperparameterError(f"kernel size must be >= 1, got {self.size}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Hyperparameters:
     """Prior scale lam > 0 and kernel decay rate beta in (0, 1)."""
 
@@ -107,3 +107,12 @@ def root_scale(spec: KernelSpec) -> np.ndarray:
     if spec.family is KernelFamily.DI:
         return np.sqrt(beta ** np.arange(1, size + 1))
     return np.sqrt((beta - beta**2) * beta ** np.arange(size))
+
+
+def root_scale_log_slope(spec: KernelSpec) -> np.ndarray:
+    """Log-derivative d ln c / d beta of :func:`root_scale`: k / (2 beta) for
+    di and (k / beta - 1 / (1 - beta)) / 2 for tc, k = 1..n+1."""
+    k = np.arange(1, spec.size + 1)
+    if spec.family is KernelFamily.DI:
+        return k / (2.0 * spec.beta)
+    return 0.5 * (k / spec.beta - 1.0 / (1.0 - spec.beta))

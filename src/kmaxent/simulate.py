@@ -220,8 +220,9 @@ def eval_spectrum(s: SpectrumModel, grid_size: int = 2048) -> np.ndarray:
 
     A unit-circle root of the defining polynomial within 1e-12 of a grid
     point triggers a near-singular warning; the values are still returned.
-    An estimate's roots are its :attr:`PredictorPolynomial.roots`, which the
-    minimum-phase check has usually computed already.
+    An estimate's unit-circle roots are read from its
+    :attr:`PredictorPolynomial.root_summary`, which the minimum-phase check
+    has usually computed already.
     """
     grid = frequency_grid(grid_size)
     if isinstance(s.source, ArmaModel):
@@ -236,7 +237,7 @@ def eval_spectrum(s: SpectrumModel, grid_size: int = 2048) -> np.ndarray:
     if x.size > grid_size:
         x = np.pad(x, (0, -x.size % grid_size)).reshape(-1, grid_size).sum(axis=0)
     response = np.fft.fft(x, grid_size)
-    _warn_near_singular(s.source.roots, grid)
+    _warn_near_singular(np.array(s.source.root_summary[1], dtype=complex), grid)
     with np.errstate(divide="ignore"):
         return 1.0 / np.abs(response) ** 2
 

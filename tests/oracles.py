@@ -1,6 +1,6 @@
 """Dense reference implementations that the structured library code is checked
-against, and the scipy routines the library's own ports reproduce. This is the
-only module that imports ``scipy.optimize``."""
+against, and the scipy-based hyperparameter search the library's own search is
+compared with. This is the only module that imports ``scipy.optimize``."""
 
 import csv
 from dataclasses import dataclass
@@ -12,6 +12,7 @@ import scipy.optimize
 
 from kmaxent.covariance import TimeSeries, ToeplitzCovariance, estimate_lags
 from kmaxent.errors import DataParseError, InvalidHyperparameterError, InvalidOrderError
+from kmaxent.hyperopt import _LAMS
 from kmaxent.estimators import (
     PredictorPolynomial,
     RidgeMarginal,
@@ -203,18 +204,26 @@ def read_sample_column(path: str) -> np.ndarray:
 
 
 def scipy_bounded_brent(func, lo: float, hi: float, xatol: float) -> None:
-    """scipy's bounded scalar minimizer, called as the search called it before
-    ``hyperopt._bounded_brent`` ported it; same signature as the port."""
+    """scipy's bounded scalar minimizer (R. Brent, 1973) of ``func`` on
+    [lo, hi]; callers read the evaluations ``func`` records."""
     scipy.optimize.minimize_scalar(func, bounds=(lo, hi), method="bounded", options={"xatol": xatol})
 
 
-def brent_evaluations(search, func, lo: float, hi: float, xatol: float) -> list[tuple[float, float]]:
-    """The (x, func(x)) pairs that ``search(func, lo, hi, xatol)`` evaluates, in order."""
-    calls: list[tuple[float, float]] = []
+def reference_search(obj) -> tuple[float, float, float]:
+    """(lam, beta, value) of the search before it used the beta slope: the
+    17 x 19 grid profile, then scipy's bounded Brent over beta at 1e-7
+    between the grid neighbours of the best polished beta, one single-beta
+    profile per point; the minimum over all of them."""
+    lams, betas = _LAMS, [float(b) for b in np.linspace(0.05, 0.95, 19)]
+    values, lam_star, value_star = obj.profile(lams, betas)[:3]
+    trace = [(lam, b, v) for lam, row in zip(lams, values) for b, v in zip(betas, row)]
+    trace.extend(zip(lam_star, betas, value_star))
 
-    def record(x):
-        calls.append((float(x), float(func(float(x)))))
-        return calls[-1][1]
+    def profiled(beta):
+        _, lam, value = obj.profile(lams, [float(beta)])[:3]
+        trace.append((float(lam[0]), float(beta), float(value[0])))
+        return trace[-1][2]
 
-    search(record, lo, hi, xatol)
-    return calls
+    j = int(np.argmin(value_star))
+    scipy_bounded_brent(profiled, betas[max(j - 1, 0)], betas[min(j + 1, 18)], 1e-7)
+    return min(trace, key=lambda entry: entry[2])

@@ -41,17 +41,16 @@ from kmaxent.kernels import Hyperparameters, KernelFamily, KernelSpec
 from kmaxent.simulate import benchmark_arma, generate
 from oracles import (
     MarginalObjective,
-    brent_evaluations,
     cholesky_neg_log_marginal,
     dense_degrees_of_freedom,
     kernel_matrix,
     lagged_design,
-    scipy_bounded_brent,
+    reference_search,
     trailing_block_root,
 )
 
 GRID_LAMS = np.array([10.0**lg for lg in np.linspace(-4, 4, 17)])
-GRID_BETAS = np.linspace(0.05, 0.95, 19)
+GRID_BETAS = np.linspace(0.05, 0.95, 10)
 
 
 def whittle_objective(y, n, family, low_order=4):
@@ -196,7 +195,7 @@ class TestRidgeMarginalCore:
         obj = RidgeMarginal.whittle(design, family)
         lams = np.array([10.0**lg for lg in np.linspace(-4, 4, 17)])
         betas = [0.3, 0.7, 0.9]
-        values, lam_star, value_star = obj.profile(lams, betas)
+        values, lam_star, value_star, _ = obj.profile(lams, betas)
         for j, beta in enumerate(betas):
             i = int(np.argmin(values[:, j]))
             lo, hi = lams[max(i - 1, 0)], lams[min(i + 1, 16)]
@@ -289,9 +288,12 @@ class _Bowl:
         return u**2 + t**2
 
     def profile(self, lams, betas):
-        # every beta's profile is minimized at lambda = 1, clipped to the box
+        # every beta's profile is minimized at lambda = 1, clipped to the box,
+        # and its slope in beta is d(t^2)/dbeta = 2t / (beta (1 - beta))
         best = np.full(len(betas), np.clip(1.0, lams[0], lams[-1]))
-        return self.grid_values(lams, betas), best, self.grid_values(best[:1], betas)[0]
+        betas = np.asarray(betas)
+        slope = 2.0 * (np.log(betas) - np.log1p(-betas)) / (betas * (1.0 - betas))
+        return self.grid_values(lams, betas), best, self.grid_values(best[:1], betas)[0], slope
 
 
 class TestOptimizeHyperparameters:
@@ -304,14 +306,14 @@ class TestOptimizeHyperparameters:
     def test_trace_starts_with_grid_in_lambda_outer_beta_inner_order(self):
         result = optimize_hyperparameters(_Bowl())
         expected = [
-            (10.0**lg, beta) for lg in np.linspace(-4, 4, 17) for beta in np.linspace(0.05, 0.95, 19)
+            (10.0**lg, beta) for lg in np.linspace(-4, 4, 17) for beta in np.linspace(0.05, 0.95, 10)
         ]
-        grid = result.trace[:323]
+        grid = result.trace[:170]
         np.testing.assert_allclose([e[:2] for e in grid], expected, rtol=1e-15)
         assert [e[2] for e in grid] == [
             _Bowl().evaluate(Hyperparameters(lam, beta)) for lam, beta, _ in grid
         ]
-        assert len(result.trace) > 323
+        assert len(result.trace) > 170
 
     def test_never_worse_than_best_grid_point(self, benchmark_setup):
         _, _, _, design = benchmark_setup
@@ -321,7 +323,7 @@ class TestOptimizeHyperparameters:
         grid_best = min(
             cholesky_neg_log_marginal(obj, Hyperparameters(10.0**lg, float(beta)))
             for lg in np.linspace(-4, 4, 17)
-            for beta in np.linspace(0.05, 0.95, 19)
+            for beta in np.linspace(0.05, 0.95, 10)
         )
         assert result.objective_value <= grid_best + 1e-12
 
@@ -348,43 +350,58 @@ def kernel_objective(method, benchmark_setup):
     return RidgeMarginal.regression(gram, preliminary_b0(y, 4), KernelFamily(family))
 
 
-class TestBoundedBrent:
-    """The in-package bounded Brent search evaluates exactly the points scipy's does."""
+class TestSlopeGuidedSearch:
+    """The beta slope of ``profile`` and the refinement built on it."""
 
-    FUNCTIONS = {
-        "bowl": (lambda x: (x - 0.37) ** 2, 0.05, 0.95),
-        "min_at_lower_bound": (lambda x: x, 0.05, 0.95),
-        "min_at_upper_bound": (lambda x: -x, 0.05, 0.95),
-        "constant": (lambda x: 1.0, 0.05, 0.95),
-        "two_minima": (lambda x: (x - 0.2) ** 2 * (x - 0.8) ** 2 + 0.01 * x, 0.0, 1.0),
-        "narrow_bracket": (lambda x: np.cos(40.0 * x), 0.45, 0.55),
-    }
-
-    @pytest.mark.parametrize("name", list(FUNCTIONS))
-    def test_same_evaluations_as_scipy(self, name):
-        func, lo, hi = self.FUNCTIONS[name]
-        for xatol in (1e-7, 1e-3):
-            port = brent_evaluations(hyperopt._bounded_brent, func, lo, hi, xatol)
-            assert port == brent_evaluations(scipy_bounded_brent, func, lo, hi, xatol)
-            assert all(lo <= x <= hi for x, _ in port)
-
-    @pytest.mark.parametrize("method", KERNEL_METHODS)
-    def test_same_evaluations_as_scipy_on_the_profiled_likelihood(self, method, benchmark_setup):
+    @pytest.mark.parametrize("family", list(KernelFamily))
+    @pytest.mark.parametrize("route", ["whittle", "regression"])
+    @pytest.mark.parametrize("beta", [0.2, 0.5, 0.9])
+    def test_slope_matches_a_central_difference(self, family, route, beta, benchmark_setup):
+        method = Method(f"{'me' if route == 'whittle' else 'pem'}-{family.value}")
         obj = kernel_objective(method, benchmark_setup)
+        h = 1e-6
+        slope = obj.profile(GRID_LAMS, [beta])[3][0]
+        above, below = (obj.profile(GRID_LAMS, [beta + sign * h])[2][0] for sign in (1, -1))
+        difference = (above - below) / (2.0 * h)
+        assert abs(slope - difference) <= 1e-6 * abs(difference)
 
-        def profiled(beta):
-            return float(obj.profile(hyperopt._LAMS, [beta])[2][0])
-
-        port = brent_evaluations(hyperopt._bounded_brent, profiled, 0.05, 0.95, hyperopt._BETA_TOL)
-        assert len(port) > 5
-        assert port == brent_evaluations(scipy_bounded_brent, profiled, 0.05, 0.95, hyperopt._BETA_TOL)
-
-    @pytest.mark.parametrize("method", KERNEL_METHODS)
-    def test_search_trace_equals_the_scipy_search_trace(self, method, benchmark_setup, monkeypatch):
-        obj = kernel_objective(method, benchmark_setup)
+    @pytest.mark.parametrize(
+        "method, seed",
+        [(method, None) for method in KERNEL_METHODS] + [(Method.ME_TC, s) for s in range(4)],
+    )
+    def test_agrees_with_the_scipy_brent_reference(self, method, seed, benchmark_setup):
+        if seed is None:
+            obj = kernel_objective(method, benchmark_setup)
+        else:
+            y = TimeSeries(np.random.default_rng(seed).standard_normal(500))
+            obj = whittle_objective(y, 50, KernelFamily.TC).core
         result = optimize_hyperparameters(obj)
-        monkeypatch.setattr(hyperopt, "_bounded_brent", scipy_bounded_brent)
-        assert result == optimize_hyperparameters(obj)
+        _, ref_beta, ref_value = reference_search(obj)
+        assert abs(result.eta_hat.beta - ref_beta) <= 1e-6
+        assert result.objective_value <= ref_value + 1e-9 * abs(ref_value)
+
+    @pytest.mark.parametrize("on_grid", [True, False])
+    def test_non_finite_slope_ends_the_search(self, on_grid):
+        # a NaN slope on the grid stops the search there; one at the first
+        # refinement point stops it after that point
+        class NanSlope(_Bowl):
+            def profile(self, lams, betas):
+                *head, slope = super().profile(lams, betas)
+                nan = on_grid or len(betas) == 1
+                return (*head, np.full_like(slope, np.nan) if nan else slope)
+
+        result = optimize_hyperparameters(NanSlope())
+        assert len(result.trace) == 170 + 10 + (0 if on_grid else 1)
+        assert result.objective_value == min(entry[2] for entry in result.trace)
+
+    @pytest.mark.parametrize("method", KERNEL_METHODS)
+    def test_eigendecompositions_per_search(self, method, benchmark_setup, monkeypatch):
+        obj = kernel_objective(method, benchmark_setup)
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda A: calls.append(1) or eigh(A))
+        optimize_hyperparameters(obj)
+        assert 10 < len(calls) <= 18
 
 
 class TestRunPipeline:
@@ -624,8 +641,8 @@ def test_regression_profile_is_finite_at_scale_1e100(family):
     y = TimeSeries(generate(benchmark_arma(), 500, 1).samples * 1e100)
     gram = lagged_gram(y, 50)
     obj = RidgeMarginal.regression(gram, preliminary_b0(y, 4), family)
-    values, lam_star, value_star = obj.profile(GRID_LAMS, GRID_BETAS)
-    assert values.shape == (17, 19)
+    values, lam_star, value_star, _ = obj.profile(GRID_LAMS, GRID_BETAS)
+    assert values.shape == (17, 10)
     assert np.isfinite(values).all()
     assert np.isfinite(lam_star).all() and np.isfinite(value_star).all()
 
@@ -666,7 +683,7 @@ def test_trace_starts_with_exactly_the_profiled_grid(benchmark_setup):
     obj = RidgeMarginal.whittle(design, KernelFamily.TC)
     result = optimize_hyperparameters(obj)
     expected = obj.profile(GRID_LAMS, GRID_BETAS)[0]
-    grid = result.trace[:323]
+    grid = result.trace[:170]
     np.testing.assert_allclose(
         [e[:2] for e in grid],
         [(lam, beta) for lam in GRID_LAMS for beta in GRID_BETAS],
@@ -680,7 +697,7 @@ def test_pipeline_config_is_the_fixed_box_with_no_settable_field():
     assert dataclasses.fields(config) == ()
     box = {
         "log10_lambda_min": -4.0, "log10_lambda_max": 4.0, "log10_lambda_step": 0.5,
-        "beta_min": 0.05, "beta_max": 0.95, "beta_step": 0.05,
+        "beta_min": 0.05, "beta_max": 0.95, "beta_step": 0.1,
     }
     assert {name: getattr(config, name) for name in box} == box
     with pytest.raises(dataclasses.FrozenInstanceError):
