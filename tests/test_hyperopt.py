@@ -46,6 +46,7 @@ from oracles import (
     kernel_matrix,
     lagged_design,
     reference_search,
+    scipy_bounded_brent,
     trailing_block_root,
 )
 
@@ -348,6 +349,30 @@ def kernel_objective(method, benchmark_setup):
         return RidgeMarginal.whittle(design, KernelFamily(family))
     gram = lagged_gram(y, 50)
     return RidgeMarginal.regression(gram, preliminary_b0(y, 4), KernelFamily(family))
+
+
+class TestBoundedBrent:
+    """scipy's bounded Brent search, the reference of the slope-guided search,
+    scores the same lambda-profiled likelihood as the library's search."""
+
+    @pytest.mark.parametrize("method", KERNEL_METHODS)
+    def test_same_evaluations_as_scipy_on_the_profiled_likelihood(self, method, benchmark_setup):
+        # scipy profiles one beta at a time; one batched profile of all the
+        # betas it tried gives the same values, and the library's search ends
+        # no higher than the lowest of them
+        obj = kernel_objective(method, benchmark_setup)
+        calls = []
+
+        def profiled(beta):
+            calls.append((float(beta), float(obj.profile(hyperopt._LAMS, [float(beta)])[2][0])))
+            return calls[-1][1]
+
+        scipy_bounded_brent(profiled, 0.05, 0.95, hyperopt._BETA_TOL)
+        assert len(calls) > 5
+        betas, values = zip(*calls)
+        np.testing.assert_allclose(obj.profile(hyperopt._LAMS, list(betas))[2], values, rtol=1e-12)
+        best = min(values)
+        assert optimize_hyperparameters(obj).objective_value <= best + 1e-9 * abs(best)
 
 
 class TestSlopeGuidedSearch:
