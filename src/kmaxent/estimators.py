@@ -35,7 +35,14 @@ from dataclasses import InitVar, dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .covariance import CholeskyFactor, TimeSeries, ToeplitzCovariance, cholesky, estimate_lags
+from .covariance import (
+    CholeskyFactor,
+    TimeSeries,
+    ToeplitzCovariance,
+    cholesky,
+    estimate_lags,
+    factorizations,
+)
 from .errors import InvalidDataError, InvalidOrderError, NotPositiveDefiniteError
 from .kernels import Hyperparameters, KernelFamily, KernelSpec, root_scale, root_scale_log_slope
 
@@ -168,18 +175,23 @@ def _solve_spd(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return scipy.linalg.cho_solve((L, True), rhs, check_finite=False)
 
 
+def _yule_walker_solve(L: np.ndarray) -> PredictorPolynomial:
+    """b = a / sqrt(a_0) with a = Sigma^{-1} e_1, from the Cholesky factor L of
+    Sigma; a solve that overflows is named by the finite check of b."""
+    v = np.zeros(L.shape[0])
+    v[0] = 1.0
+    a = scipy.linalg.cho_solve((L, True), v, check_finite=False)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return PredictorPolynomial(a / np.sqrt(a[0]))
+
+
 def yule_walker(cov: ToeplitzCovariance) -> PredictorPolynomial:
     """Classical maximum-entropy solve: a = Sigma^{-1} e_1, b = a / sqrt(a_0).
 
     Sigma is factored by :func:`cholesky`, with its r_0 repair, so a_0 > 0;
     a solve that overflows is named by the finite check of b.
     """
-    factor = cholesky(cov)
-    v = np.zeros(cov.order + 1)
-    v[0] = 1.0
-    a = scipy.linalg.cho_solve((factor.L, True), v, check_finite=False)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return PredictorPolynomial(a / np.sqrt(a[0]))
+    return _yule_walker_solve(cholesky(cov).L)
 
 
 def _variance_lags(y: TimeSeries, n: int) -> np.ndarray:
@@ -198,20 +210,38 @@ def me_bic(y: TimeSeries, n_max: int) -> EstimateResult:
     Toeplitz matrix is the leading block of the order-n_max one, and by
     persymmetry 1 / a_0(n) = 1 / (Sigma_n^{-1})_{nn} = L_nn^2, with L the
     Cholesky factor of Sigma_{n_max}. One factorization therefore gives every
-    order's variance, and Yule-Walker is solved once, at the chosen order, on
-    the factor's lags. :func:`cholesky` factors Sigma_{n_max}; its r_0 shift
-    is the result's ``jitter_used``, and df is the chosen order plus one.
-    Ties are broken toward the smaller order. Raises NotPositiveDefiniteError
-    when the series has zero variance or Sigma_{n_max} cannot be factored.
+    order's variance, and Yule-Walker is solved once, at the chosen order n,
+    on the leading (n+1) x (n+1) block of that factor, which is the factor of
+    Sigma_n. Ties are broken toward the smaller order, and df is the chosen
+    order plus one.
+
+    Sigma_{n_max} is factored as :func:`cholesky` does. A positive definite
+    Toeplitz matrix has a minimum-phase Yule-Walker solution, so a solution
+    that is not minimum phase shows a numerically indefinite matrix that
+    happened to factor, as on a steep smooth bump; the fit then moves on to
+    the next r_0 shift of :func:`~kmaxent.covariance.factorizations`, as a
+    failed factorization does. The shift used is the result's
+    ``jitter_used``. Raises NotPositiveDefiniteError when the series has
+    zero variance, when no shift factors, or when no shift gives a
+    minimum-phase solution.
     """
     N = y.n_samples
     if not 1 <= n_max < N:
         raise InvalidOrderError(f"n_max={n_max} must satisfy 1 <= n_max < N={N}")
-    factor = cholesky(ToeplitzCovariance(_variance_lags(y, n_max)))
-    bic = 2.0 * N * np.log(np.diag(factor.L)[1:]) + np.arange(1, n_max + 1) * np.log(N)
-    n = int(np.argmin(bic)) + 1  # the first minimum: the smaller order wins ties
-    b = yule_walker(ToeplitzCovariance(factor.cov.lags[: n + 1]))
-    return EstimateResult(b, None, float(n + 1), Method.ME, jitter_used=factor.jitter, chosen_n=n)
+    cov = ToeplitzCovariance(_variance_lags(y, n_max))
+    for factor in factorizations(cov):
+        bic = 2.0 * N * np.log(np.diag(factor.L)[1:]) + np.arange(1, n_max + 1) * np.log(N)
+        n = int(np.argmin(bic)) + 1  # the first minimum: the smaller order wins ties
+        b = _yule_walker_solve(factor.L[: n + 1, : n + 1])
+        result = EstimateResult(
+            b, None, float(n + 1), Method.ME, jitter_used=factor.jitter, chosen_n=n
+        )
+        if result.min_phase_verified:
+            return result
+    cholesky(cov)  # raises cholesky's own error when no shift factors
+    raise NotPositiveDefiniteError(
+        "Yule-Walker solution is not minimum phase even after maximum jitter"
+    )
 
 
 def preliminary_b0(y: TimeSeries, low_order: int = 4) -> float:
@@ -465,6 +495,34 @@ def lagged_gram(y: TimeSeries, n: int) -> np.ndarray:
     return ToeplitzCovariance(y.lag_sums(n)).matrix - (H.T @ H + T.T @ T)
 
 
+def _residuals(y: TimeSeries, predictor: np.ndarray) -> np.ndarray:
+    """Residuals e_t = sum_j p_j y_{t-j}, t = n+1..N, of the filter p = predictor.
+
+    The valid correlation of y with the reversed filter, as a sum of matrix
+    products over the rows of B samples of :attr:`TimeSeries.blocks`: the
+    residual row m is sum_d Y[m + d] T_d, d = 0..ceil(n / B), against the
+    banded Toeplitz blocks T_d[i, j] = p[n - dB - i + j] of the filter (zero
+    outside 0..n): ceil(n / B) + 1 products, two for 0 < n <= B. Each
+    residual sums the same n + 1 products as the direct filter, in another
+    order; the zero padding adds exact zeros. The products accumulate in
+    place, so the only series-sized array is the result.
+    """
+    Y = y.blocks
+    B, N, n = Y.shape[1], y.n_samples, predictor.size - 1
+    rows, terms = -(-(N - n) // B), -(-n // B) + 1
+    band = np.zeros((terms + 1) * B - 1)
+    band[terms * B - 1 - n : terms * B] = predictor
+    # T[dB + i, j] = band[terms B - 1 - dB - i + j] = p[n - dB - i + j]
+    step = band.itemsize
+    T = np.ndarray((terms * B, B), float, band, (terms * B - 1) * step, (-step, step)).copy()
+    out = np.zeros((B, rows), order="F")  # the residual rows, transposed
+    for d in range(terms):
+        out = scipy.linalg.blas.dgemm(
+            1.0, T[d * B : (d + 1) * B].T, Y[d : rows + d].T, 1.0, out, overwrite_c=True
+        )
+    return out.T.ravel()[: N - n]
+
+
 def kernel_pem(
     y: TimeSeries, gram: np.ndarray, family: KernelFamily, eta: Hyperparameters
 ) -> PredictorPolynomial:
@@ -480,17 +538,20 @@ def kernel_pem(
     ``gram`` is :func:`lagged_gram` of ``y`` at order n = gram.shape[0] - 1.
     The weights a = (X^T X + (lam Kbar)^{-1})^{-1} X^T y are the posterior
     mean of :meth:`RidgeMarginal.regression` of that Gram at unit noise
-    precision, the reduced form :func:`kernel_me` solves. The residuals come
-    from filtering y with (1, -a) by ``np.convolve``, which is exact, O(N n)
-    time and O(N) memory; the quadratic form in the Gram would cancel badly
-    on nearly predictable series. Residuals that are all zero, as when only
-    the first n samples are nonzero, raise InvalidDataError; a 1 x 1 Gram
-    (order 0) raises InvalidOrderError.
+    precision, the reduced form :func:`kernel_me` solves. The N - n residuals
+    come from filtering y with (1, -a) as blocked matrix products
+    (:func:`_residuals`), O(N n) time and O(N) memory, whose last bits follow
+    the BLAS kernel; sigma_hat^2 = resid . resid / (N - n), one dot product.
+    The quadratic form in the Gram would cancel badly on nearly predictable
+    series. Residuals that are all zero, as when only the first n samples
+    are nonzero, raise InvalidDataError; a 1 x 1 Gram (order 0) raises
+    InvalidOrderError.
     """
     a = RidgeMarginal.regression(gram, 1.0, family).posterior_mean(eta)
     predictor = np.concatenate(([1.0], -a))
-    resid = np.convolve(y.samples, predictor, mode="valid")
-    sigma_hat = np.sqrt(np.mean(resid**2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        resid = _residuals(y, predictor)
+        sigma_hat = np.sqrt(resid @ resid / resid.size)
     if sigma_hat == 0.0:
         raise InvalidDataError("predictor residuals are all zero")
     return PredictorPolynomial(predictor / sigma_hat)

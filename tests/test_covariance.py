@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -11,10 +12,12 @@ from kmaxent.covariance import (
     ToeplitzCovariance,
     cholesky,
     estimate_lags,
+    factorizations,
 )
 from kmaxent.errors import InvalidDataError, InvalidOrderError, NotPositiveDefiniteError
 from kmaxent.estimators import Method, lagged_gram
 from kmaxent.harness import ExperimentConfig, fit_method
+from kmaxent.simulate import benchmark_arma, generate
 
 from conftest import naive_lags
 
@@ -53,11 +56,11 @@ class TestEstimateLags:
         oracle = naive_lags(benchmark_series.samples, 50)
         np.testing.assert_allclose(lags, oracle, rtol=1e-12)
 
-    def test_one_dot_product_per_lag_divided_by_n(self, benchmark_series):
+    def test_lags_are_the_kept_lag_sums_divided_by_n(self, benchmark_series):
         # the lag sums are shared with the predictor Gram; the divided lags
-        # must stay bitwise those of one slice dot product per lag
+        # must stay bitwise those sums divided by N
         s, N = benchmark_series.samples, benchmark_series.n_samples
-        expected = np.array([s[: N - k] @ s[k:] for k in range(51)]) / N
+        expected = TimeSeries(s).lag_sums(50) / N
         assert np.array_equal(estimate_lags(benchmark_series, 50), expected)
 
     def test_order_out_of_range(self):
@@ -79,6 +82,15 @@ class TestEstimateLags:
             warnings.simplefilter("error")
             with pytest.raises(InvalidDataError, match="lags contain non-finite values"):
                 estimate_lags(y, 1)
+
+    @pytest.mark.parametrize("N, n", [(200, 0), (200, 100), (2000, 600)])
+    def test_overflow_beyond_the_first_block_is_the_same_named_error(self, N, n):
+        # +-1e160 alternating: the products overflow in every lag block
+        y = TimeSeries(1e160 * (-1.0) ** np.arange(N))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidDataError, match="lags contain non-finite values"):
+                estimate_lags(y, n)
 
     def test_too_short(self):
         with pytest.raises(InvalidDataError):
@@ -114,7 +126,39 @@ def lag_passes(monkeypatch):
     return passes
 
 
+def assert_lags_exactly_rounded(samples, ks, rtol=1e-12):
+    """Each lag sum within rtol of math.fsum's exactly rounded sum, relative to
+    sum_t |y_t y_{t+k}|."""
+    y, N = TimeSeries(samples), samples.size
+    sums = y.lag_sums(max(ks))
+    for k in ks:
+        products = samples[: N - k] * samples[k:]
+        exact = math.fsum(products.tolist())
+        assert abs(sums[k] - exact) <= rtol * np.abs(products).sum(), k
+
+
 class TestLagSums:
+    def test_each_lag_is_near_the_exactly_rounded_sum_at_a_million_samples(self):
+        samples = generate(benchmark_arma(), 10**6, 11).samples
+        assert_lags_exactly_rounded(samples, [0, 1, 2, 31, 50, 63, 64, 65, 127, 128, 129])
+
+    @pytest.mark.parametrize("N", [2, 63, 64, 65, 129])
+    def test_block_edge_lengths(self, N):
+        samples = np.random.default_rng(N).standard_normal(N)
+        assert_lags_exactly_rounded(samples, range(N))
+
+    def test_orders_beyond_one_lag_block(self):
+        samples = generate(benchmark_arma(), 2000, 12).samples
+        assert_lags_exactly_rounded(samples, range(601))
+
+    def test_prefix_across_a_lag_block_is_bitwise_a_fresh_computation(self, benchmark_series):
+        s = benchmark_series.samples
+        grown = TimeSeries(s)
+        grown.lag_sums(4)
+        fresh = TimeSeries(s).lag_sums(100)
+        assert np.array_equal(grown.lag_sums(100), fresh)
+        assert np.array_equal(grown.lag_sums(70), TimeSeries(s).lag_sums(70))
+
     def test_prefix_is_bitwise_a_fresh_computation(self, benchmark_series):
         s = benchmark_series.samples
         y = TimeSeries(s)
@@ -153,6 +197,16 @@ class TestLagSums:
             y.samples[0] = 0.0
         with pytest.raises(ValueError):
             y.lag_sums(5)[0] = 0.0
+
+    def test_blocks_are_the_zero_padded_samples(self):
+        data = np.random.default_rng(1).standard_normal(130)
+        y = TimeSeries(data)
+        flat = y.blocks.ravel()
+        assert y.blocks.shape[1] == 64 and flat.size >= data.size + 64
+        assert np.array_equal(flat[:130], data) and not flat[130:].any()
+        assert np.shares_memory(y.samples, y.blocks)
+        with pytest.raises(ValueError):
+            y.blocks[0, 0] = 1.0
 
 
 class TestBuildToeplitz:
@@ -282,3 +336,14 @@ class TestCholesky:
         cov = ToeplitzCovariance(np.array([1.0, 2.0]))
         with pytest.raises(NotPositiveDefiniteError):
             cholesky(cov)
+
+    def test_factorizations_are_the_shifts_in_the_order_tried(self):
+        # [1, 1] is singular: the unshifted matrix fails and every shift factors
+        singular = ToeplitzCovariance(np.array([1.0, 1.0]))
+        jitters = [f.jitter for f in factorizations(singular)]
+        np.testing.assert_allclose(jitters, [1e-8, 1e-7, 1e-6, 1e-5, 1e-4], rtol=1e-14)
+        assert cholesky(singular).jitter == jitters[0]
+        pd = [f.jitter for f in factorizations(ToeplitzCovariance(np.array([2.0, 1.0])))]
+        assert len(pd) == 6 and pd[0] == 0.0
+        # eigenvalue -1: no shift up to 1e-4 * r_0 factors
+        assert list(factorizations(ToeplitzCovariance(np.array([1.0, 2.0])))) == []

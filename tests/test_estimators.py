@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -14,7 +16,9 @@ from kmaxent.estimators import (
     EstimateResult,
     Method,
     PredictorPolynomial,
+    RidgeMarginal,
     WhittleDesign,
+    _residuals,
     check_min_phase,
     kernel_me,
     kernel_pem,
@@ -46,6 +50,12 @@ BUMPS_NEEDING_JITTER = [(w, c) for w in (10, 20) for c in (100, 250, 400)] + [(4
 def bump_series(N, width, centre):
     """The Gaussian bump y_t = exp(-((t - centre) / width)^2), t = 0..N-1."""
     return TimeSeries(np.exp(-(((np.arange(N) - centre) / width) ** 2)))
+
+
+def exact_residuals(samples, predictor):
+    """Residuals sum_j p_j y_{t-j}, t = n+1..N, each by math.fsum of its products."""
+    windows = np.lib.stride_tricks.sliding_window_view(samples, predictor.size)
+    return np.array([math.fsum(row) for row in (windows * predictor[::-1]).tolist()])
 
 
 def ar_series(coeffs, N, seed, sigma=1.0, burn=500):
@@ -158,6 +168,38 @@ class TestMeBic:
     def test_singular_covariance_is_a_named_error(self):
         with pytest.raises(NotPositiveDefiniteError):
             me_bic(TimeSeries(np.zeros(100)), 5)
+
+    @pytest.mark.parametrize(
+        "N, width, centre, scale, n_max",
+        [
+            (235, 15.506553579752817, 92.93656842962906, 1e-53, 8),
+            (237, 7.816935015802286, 120.59865250838459, 1e-19, 23),
+            (215, 7.472814408145096, 145.6467847645158, 1e116, 12),
+            (286, 28.72218144179919, 151.7783254889725, 1e150, 8),
+            (154, 5.388929157638645, 48.59838582665077, 1e67, 15),
+            (136, 5.244140625, 68.0, 1e78, 20),
+        ],
+    )
+    def test_steep_bump_that_factors_unshifted_fits_minimum_phase(
+        self, N, width, centre, scale, n_max
+    ):
+        # each order-n_max matrix is near singular and factors unshifted;
+        # the rounding of its lags decides whether that Yule-Walker solve has
+        # a root outside the unit circle (moduli up to 1.66 were seen), and
+        # such a fit must take an r_0 shift
+        y = TimeSeries(scale * bump_series(N, width, centre).samples)
+        fit = me_bic(y, n_max)
+        assert fit.min_phase_verified, fit.max_root_modulus
+
+    def test_solves_on_the_leading_block_of_its_factor(self):
+        # the chosen-order solve reads the order-n_max factor's leading block,
+        # which matches a fresh factorization of the order-n matrix
+        for seed in range(20):
+            model = random_arma(np.random.SeedSequence([707, seed, 0]))
+            y = generate(model, 500, np.random.SeedSequence([707, seed, 1]))
+            fit = me_bic(y, 50)
+            fresh = yule_walker(ToeplitzCovariance(estimate_lags(y, fit.chosen_n)))
+            np.testing.assert_allclose(fit.b_hat.coeffs, fresh.coeffs, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("width, centre", BUMPS_NEEDING_JITTER)
     def test_bump_series_fits_with_the_kernel_routes_repair(self, width, centre):
@@ -386,6 +428,43 @@ class TestKernelPem:
         y = TimeSeries(np.arange(20.0))
         with pytest.raises(InvalidOrderError):
             kernel_pem(y, lagged_gram(y, 10), KernelFamily.DI, Hyperparameters(1.0, 0.5))
+
+    @pytest.mark.parametrize("N, n", [(10**5, 12), (75, 12), (76, 12), (77, 12), (500, 100)])
+    def test_innovation_scale_matches_exactly_rounded_residuals(self, N, n):
+        # N - n = 63, 64, 65 straddle one block of residuals; n = 100 needs
+        # three block products
+        y = generate(random_arma(np.random.SeedSequence([808, N, n])), N, 3)
+        gram = lagged_gram(y, n)
+        eta = Hyperparameters(1e3, 0.8)
+        b = kernel_pem(y, gram, KernelFamily.TC, eta)
+        a = RidgeMarginal.regression(gram, 1.0, KernelFamily.TC).posterior_mean(eta)
+        resid = exact_residuals(y.samples, np.concatenate(([1.0], -a)))
+        sigma_hat = np.sqrt(math.fsum((resid**2).tolist()) / resid.size)
+        assert abs(1.0 / b.coeffs[0] - sigma_hat) <= 1e-12 * sigma_hat
+
+    @pytest.mark.parametrize(
+        "n, n_resid",
+        [(n, r) for n in (0, 1, 12, 63, 64, 65, 100) for r in (1, 63, 64, 65) if n + r >= 2],
+    )
+    def test_block_residuals_match_exactly_rounded_ones(self, n, n_resid):
+        rng = np.random.default_rng(n * 100 + n_resid)
+        y = TimeSeries(rng.standard_normal(n + n_resid))
+        predictor = np.concatenate(([1.0], 0.3 * rng.standard_normal(n)))
+        resid = _residuals(y, predictor)
+        exact = exact_residuals(y.samples, predictor)
+        assert resid.shape == (n_resid,)
+        windows = np.lib.stride_tricks.sliding_window_view(y.samples, n + 1)
+        scale = np.abs(windows * predictor[::-1]).sum(axis=1)
+        assert np.all(np.abs(resid - exact) <= 1e-14 * scale)
+
+    def test_spike_beyond_one_block_leaves_all_zero_residuals(self):
+        # only samples 0 and 70 of the first n = 100 are nonzero: every target
+        # is 0, so the predictor and all residuals are 0
+        y = np.zeros(500)
+        y[0], y[70] = 1.0, -2.0
+        y = TimeSeries(y)
+        with pytest.raises(InvalidDataError, match="residuals are all zero"):
+            kernel_pem(y, lagged_gram(y, 100), KernelFamily.TC, Hyperparameters(1.0, 0.5))
 
 
 def assert_gram_matches_dense(y, n):
