@@ -1,19 +1,19 @@
-"""Covariance-lag estimation and Toeplitz assembly / factorization.
+"""How a series becomes a factored covariance: lags, Toeplitz matrix, Cholesky.
 
 The sample covariance lags use the biased estimator (divisor N), which keeps
 the assembled Toeplitz matrix positive semidefinite by construction.
 One repair policy factors every Toeplitz matrix: a capped shift of r_0
 repairs the rare numerically indefinite case, and the factor keeps the
 shifted covariance, so every later step reads one matrix.
-:func:`factorizations` lists the factors in the order tried; :func:`cholesky`
-returns the first, for the preliminary b_0 and kernel-ME, and ME-BIC walks
-the list. :class:`ToeplitzCovariance` computes its
+:func:`factorizations` lists the factors in the order tried and
+:func:`cholesky` returns the first. :class:`ToeplitzCovariance` computes its
 matrix from its lags and :class:`CholeskyFactor` its factor from its
-covariance, so no pair can disagree. The lag sums P_k are computed once per
-series and kept on it (:meth:`TimeSeries.lag_sums`), so every estimator
-reads the same numbers. Both O(N n) passes over a series, the lag sums and
-kernel-PEM's residuals, read it in one blocked layout
-(:attr:`TimeSeries.blocks`) and run as dense matrix products.
+covariance, so no pair can disagree. A series keeps its lag sums P_k
+(:meth:`TimeSeries.lag_sums`) and one factor per order
+(:meth:`TimeSeries.factor`), so every estimator reads the same numbers.
+Both O(N n) passes over a series, the lag sums and kernel-PEM's residuals,
+read it in one blocked layout (:attr:`TimeSeries.blocks`) as dense matrix
+products.
 """
 
 from __future__ import annotations
@@ -35,8 +35,8 @@ _BLOCK = 64  # samples per row of TimeSeries.blocks
 class TimeSeries:
     """A finite real sample y_1..y_N of at least two values.
 
-    ``samples`` is a read-only copy of the input, so the lag sums kept by
-    :meth:`lag_sums` always belong to it. It is the head of the read-only
+    ``samples`` is a read-only copy of the input, so the lag sums and
+    factors it keeps always belong to it. It is the head of the read-only
     :attr:`blocks`, the samples and then B + 1 to 2B zeros read as rows of
     B = 64, so the blocked layout costs no second copy; the residual
     products of kernel-PEM read up to one row past the last sample.
@@ -102,6 +102,19 @@ class TimeSeries:
             kept.flags.writeable = False
             object.__setattr__(self, "_lag_sums", kept)
         return kept[: n + 1]
+
+    def factor(self, n: int) -> CholeskyFactor:
+        """:func:`cholesky` of the order-n Toeplitz matrix of :func:`estimate_lags`,
+        kept per order, so it is the same object whichever estimator asks
+        first. Requires 0 <= n < N; a zero variance raises
+        NotPositiveDefiniteError before any factorization."""
+        kept = self.__dict__.setdefault("_factors", {})
+        if n not in kept:
+            lags = estimate_lags(self, n)
+            if lags[0] == 0.0:
+                raise NotPositiveDefiniteError("series has zero variance (r_0 = 0)")
+            kept[n] = cholesky(ToeplitzCovariance(lags))
+        return kept[n]
 
 
 @dataclass(frozen=True)
@@ -194,11 +207,7 @@ def cholesky(cov: ToeplitzCovariance) -> CholeskyFactor:
 
     The first of :func:`factorizations`: the unmodified matrix if it
     factors, otherwise the smallest r_0 shift whose Toeplitz matrix does.
-
-    Raises
-    ------
-    NotPositiveDefiniteError
-        If every attempt fails.
+    Raises NotPositiveDefiniteError if every attempt fails.
     """
     factor = next(factorizations(cov), None)
     if factor is not None:

@@ -8,17 +8,17 @@ check applied to every estimate.
 Both kernel estimators are one ridge regression, :class:`RidgeMarginal`, on
 the reduced form B^T G B of a Gram matrix G and the structured kernel root
 B, which it computes from G when constructed, as :class:`WhittleDesign`
-computes the whitened design from the covariance factor. It gives the
-marginal likelihood the hyperparameter search minimizes
-(:meth:`RidgeMarginal.profile`), the coefficients
-(:meth:`RidgeMarginal.posterior_mean`, one Cholesky solve) and the degrees of
-freedom (:meth:`RidgeMarginal.df`); no kernel or kernel inverse is formed.
+computes the whitened design from the covariance factor. The object the
+hyperparameter search minimizes (:meth:`RidgeMarginal.profile`) gives the
+coefficients (:meth:`RidgeMarginal.posterior_mean`, one Cholesky solve) and
+the degrees of freedom (:meth:`RidgeMarginal.df`); no kernel is formed.
 
 Every estimator reads the lag sums P_k = sum_t y_t y_{t+k} that each series
-computes once (:meth:`TimeSeries.lag_sums`). The predictor baseline's
-statistics are blocks of one (n+1) x (n+1) Gram matrix of the covariance
-method: :func:`lagged_gram` builds it from those sums minus the 2n edge rows
-of the zero-padded design, so the baseline needs O(N + n^2) memory.
+keeps, and ME-BIC, the preliminary b_0 and kernel-ME the factors it keeps
+per order (:meth:`TimeSeries.factor`). The predictor baseline's statistics
+are blocks of one (n+1) x (n+1) Gram matrix of the covariance method:
+:func:`lagged_gram` builds it from those sums minus the 2n edge rows of the
+zero-padded design, so the baseline needs O(N + n^2) memory.
 
 Conventions: the estimated inverse spectral factor is the polynomial
 b(z) = sum_k b_k z^{-k}; its coefficient vector [b_0 ... b_n] has b_0 > 0 for
@@ -194,12 +194,12 @@ def yule_walker(cov: ToeplitzCovariance) -> PredictorPolynomial:
     return _yule_walker_solve(cholesky(cov).L)
 
 
-def _variance_lags(y: TimeSeries, n: int) -> np.ndarray:
-    """Lags r_0..r_n, checked for zero variance before any factorization."""
-    lags = estimate_lags(y, n)
-    if lags[0] == 0.0:
-        raise NotPositiveDefiniteError("series has zero variance (r_0 = 0)")
-    return lags
+def _bic_fit(factor: CholeskyFactor, N: int) -> EstimateResult:
+    """ME-BIC's order choice and Yule-Walker solve on one order-n_max factor."""
+    bic = 2.0 * N * np.log(np.diag(factor.L)[1:]) + np.arange(1, factor.L.shape[0]) * np.log(N)
+    n = int(np.argmin(bic)) + 1  # the first minimum: the smaller order wins ties
+    b = _yule_walker_solve(factor.L[: n + 1, : n + 1])
+    return EstimateResult(b, None, float(n + 1), Method.ME, jitter_used=factor.jitter, chosen_n=n)
 
 
 def me_bic(y: TimeSeries, n_max: int) -> EstimateResult:
@@ -215,30 +215,25 @@ def me_bic(y: TimeSeries, n_max: int) -> EstimateResult:
     Sigma_n. Ties are broken toward the smaller order, and df is the chosen
     order plus one.
 
-    Sigma_{n_max} is factored as :func:`cholesky` does. A positive definite
-    Toeplitz matrix has a minimum-phase Yule-Walker solution, so a solution
-    that is not minimum phase shows a numerically indefinite matrix that
-    happened to factor, as on a steep smooth bump; the fit then moves on to
-    the next r_0 shift of :func:`~kmaxent.covariance.factorizations`, as a
-    failed factorization does. The shift used is the result's
-    ``jitter_used``. Raises NotPositiveDefiniteError when the series has
-    zero variance, when no shift factors, or when no shift gives a
-    minimum-phase solution.
+    The factor is ``y.factor(n_max)``. A positive definite Toeplitz matrix has
+    a minimum-phase Yule-Walker solution, so one that is not minimum phase
+    shows a numerically indefinite matrix that happened to factor, as on a
+    steep smooth bump; the fit then walks the later r_0 shifts of
+    :func:`~kmaxent.covariance.factorizations`, and reports the shift used
+    in ``jitter_used``. Raises NotPositiveDefiniteError at zero variance,
+    when no shift factors or when none gives a minimum-phase solution.
     """
     N = y.n_samples
     if not 1 <= n_max < N:
         raise InvalidOrderError(f"n_max={n_max} must satisfy 1 <= n_max < N={N}")
-    cov = ToeplitzCovariance(_variance_lags(y, n_max))
-    for factor in factorizations(cov):
-        bic = 2.0 * N * np.log(np.diag(factor.L)[1:]) + np.arange(1, n_max + 1) * np.log(N)
-        n = int(np.argmin(bic)) + 1  # the first minimum: the smaller order wins ties
-        b = _yule_walker_solve(factor.L[: n + 1, : n + 1])
-        result = EstimateResult(
-            b, None, float(n + 1), Method.ME, jitter_used=factor.jitter, chosen_n=n
-        )
-        if result.min_phase_verified:
-            return result
-    cholesky(cov)  # raises cholesky's own error when no shift factors
+    result = _bic_fit(y.factor(n_max), N)
+    if result.min_phase_verified:
+        return result
+    for factor in factorizations(ToeplitzCovariance(estimate_lags(y, n_max))):
+        if factor.jitter > result.jitter_used:
+            result = _bic_fit(factor, N)
+            if result.min_phase_verified:
+                return result
     raise NotPositiveDefiniteError(
         "Yule-Walker solution is not minimum phase even after maximum jitter"
     )
@@ -248,12 +243,11 @@ def preliminary_b0(y: TimeSeries, low_order: int = 4) -> float:
     """Leading coefficient of a low-order Yule-Walker fit.
 
     Equals sqrt(a_0), the inverse innovation standard deviation of the
-    low-order autoregressive model; used to linearize the log term of the
-    likelihood and to scale the whitened design. Raises
-    NotPositiveDefiniteError when the series has zero variance.
+    low-order autoregressive model, from ``y.factor(low_order)``; used to
+    linearize the log term of the likelihood and to scale the whitened
+    design. Raises NotPositiveDefiniteError when the series has zero variance.
     """
-    b = yule_walker(ToeplitzCovariance(_variance_lags(y, low_order)))
-    return float(b.coeffs[0])
+    return float(_yule_walker_solve(y.factor(low_order).L).coeffs[0])
 
 
 # The lambda polish takes at most 50 steps (bisection alone narrows a bracket
@@ -289,8 +283,9 @@ class RidgeMarginal:
     A = B^T G B and w = B^T m, where G is the Gram matrix of the regression,
     m its moment vector, t the target sum of squares and B B^T the prior
     covariance at decay rate beta. The noise precision is one: a route with
-    another precision p folds sqrt(p) into m and p into t. Both estimation
-    routes are this form; see :meth:`whittle` and :meth:`regression`.
+    another precision p folds ``fold`` = sqrt(p) into m and p into t, and
+    :meth:`posterior_mean` divides it back out. Both estimation routes are
+    this form; see :meth:`whittle` (fold 1) and :meth:`regression` (fold b0).
 
     Every structured kernel root is S diag(c(beta)) for tc, with S the
     upper-triangular matrix of ones, and diag(c(beta)) for di. The constructors
@@ -308,6 +303,7 @@ class RidgeMarginal:
     target_ss: float
     family: KernelFamily
     size: int  # kernel size n + 1
+    fold: float = 1.0
     reduced_gram: np.ndarray = field(init=False)
     reduced_moment: np.ndarray = field(init=False)
 
@@ -345,14 +341,13 @@ class RidgeMarginal:
         y^T y = gram[0, 0], with noise variance 1 / b0^2 and the root of the
         trailing n x n block of the size-(n+1) kernel, which is the
         size-(n+1) root without its first scale. The precision b0^2 is
-        folded into the data: the moment is scaled by b0 and the target by
-        b0^2. Raises InvalidOrderError at order n = 0 (a 1 x 1 Gram), which
-        has no predictor weights."""
+        folded into the data, as the ``fold``: the moment is scaled by b0 and
+        the target by b0^2. Raises InvalidOrderError at order n = 0."""
         size = gram.shape[0]
         if size < 2:
             raise InvalidOrderError("predictor regression needs order n >= 1")
         moment, target_ss = b0_prelim * gram[1:, 0], b0_prelim**2 * gram[0, 0]
-        return cls(gram[1:, 1:], moment, target_ss, family, size)
+        return cls(gram[1:, 1:], moment, target_ss, family, size, b0_prelim)
 
     def _reduced(self, beta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Root scales c, A = B^T G B and w = B^T m at decay rate beta."""
@@ -443,7 +438,7 @@ class RidgeMarginal:
         return shrinkage_df(np.linalg.eigvalsh(self._reduced(eta.beta)[1]), eta.lam)
 
     def posterior_mean(self, eta: Hyperparameters) -> np.ndarray:
-        """Ridge coefficients lam B (I + lam A)^{-1} w at eta.
+        """Ridge coefficients lam B (I + lam A)^{-1} w / fold at eta.
 
         One Cholesky solve of I + lam A, whose eigenvalues are at least one;
         B is then applied as the column scaling c and, for tc, as the
@@ -453,23 +448,23 @@ class RidgeMarginal:
         factorization fails and the fit is a named error.
         """
         c, A, w = self._reduced(eta.beta)
-        theta = eta.lam * c * _solve_spd(np.eye(w.size) + eta.lam * A, w)
+        theta = eta.lam * c * _solve_spd(np.eye(w.size) + eta.lam * A, w / self.fold)
         return np.cumsum(theta[::-1])[::-1] if self.family is KernelFamily.TC else theta
 
 
-def kernel_me(
-    design: WhittleDesign, family: KernelFamily, eta: Hyperparameters
-) -> PredictorPolynomial:
+def kernel_me(objective: RidgeMarginal, eta: Hyperparameters) -> PredictorPolynomial:
     """Kernel-regularized maximum-entropy estimate.
 
-    The prior K is the size-(n+1) kernel of ``family`` at eta's beta, with n
-    the order of ``design.cov``, whose matrix is Sigma. Minimizes
+    ``objective`` is the search's :meth:`RidgeMarginal.whittle` of a design
+    of order n with covariance Sigma (InvalidDataError otherwise), and K the
+    size-(n+1) kernel of its family at eta's beta. Minimizes
     ||v_tilde - Phi b||^2 + lam^{-1} ||b||^2_{K^{-1}}, which equals
-    b = b0_prelim^{-1} (Sigma + ((N - n) lam K)^{-1})^{-1} e_1; computed as
-    the posterior mean of the search's own reduced form,
-    :meth:`RidgeMarginal.posterior_mean` of :meth:`RidgeMarginal.whittle`.
+    b = b0_prelim^{-1} (Sigma + ((N - n) lam K)^{-1})^{-1} e_1, the
+    objective's posterior mean.
     """
-    return PredictorPolynomial(RidgeMarginal.whittle(design, family).posterior_mean(eta))
+    if objective.reduced_moment.size != objective.size:
+        raise InvalidDataError("kernel_me needs a whittle objective, not a regression one")
+    return PredictorPolynomial(objective.posterior_mean(eta))
 
 
 def lagged_gram(y: TimeSeries, n: int) -> np.ndarray:
@@ -524,30 +519,31 @@ def _residuals(y: TimeSeries, predictor: np.ndarray) -> np.ndarray:
 
 
 def kernel_pem(
-    y: TimeSeries, gram: np.ndarray, family: KernelFamily, eta: Hyperparameters
+    y: TimeSeries, objective: RidgeMarginal, eta: Hyperparameters
 ) -> PredictorPolynomial:
     """Kernel-regularized one-step-predictor baseline.
 
     Fits predictor weights a minimizing
     sum_t (y_t - sum_k a_k y_{t-k})^2 + lam^{-1} a^T Kbar^{-1} a, where Kbar is
-    the trailing n x n principal block of the size-(n+1) kernel of ``family``
-    at eta's beta. The innovation variance is the mean squared residual and
-    the returned polynomial is (1 - sum_k a_k z^{-k}) / sigma_hat. Unlike the
-    maximum-entropy routes, the result carries no minimum-phase guarantee.
+    the trailing n x n principal block of the size-(n+1) kernel of the
+    objective's family at eta's beta. The innovation variance is the mean
+    squared residual and the returned polynomial is
+    (1 - sum_k a_k z^{-k}) / sigma_hat. Unlike the maximum-entropy routes,
+    the result carries no minimum-phase guarantee.
 
-    ``gram`` is :func:`lagged_gram` of ``y`` at order n = gram.shape[0] - 1.
-    The weights a = (X^T X + (lam Kbar)^{-1})^{-1} X^T y are the posterior
-    mean of :meth:`RidgeMarginal.regression` of that Gram at unit noise
-    precision, the reduced form :func:`kernel_me` solves. The N - n residuals
-    come from filtering y with (1, -a) as blocked matrix products
-    (:func:`_residuals`), O(N n) time and O(N) memory, whose last bits follow
-    the BLAS kernel; sigma_hat^2 = resid . resid / (N - n), one dot product.
+    ``objective`` is the search's :meth:`RidgeMarginal.regression` of
+    :func:`lagged_gram` of ``y`` (InvalidDataError otherwise); its posterior
+    mean is a = (X^T X + (lam Kbar)^{-1})^{-1} X^T y. The N - n residuals of
+    the filter (1, -a) are blocked matrix products (:func:`_residuals`),
+    O(N n) time and O(N) memory, whose last bits follow the BLAS kernel;
+    sigma_hat^2 = resid . resid / (N - n), one dot product.
     The quadratic form in the Gram would cancel badly on nearly predictable
     series. Residuals that are all zero, as when only the first n samples
-    are nonzero, raise InvalidDataError; a 1 x 1 Gram (order 0) raises
-    InvalidOrderError.
+    are nonzero, raise InvalidDataError.
     """
-    a = RidgeMarginal.regression(gram, 1.0, family).posterior_mean(eta)
+    if objective.reduced_moment.size != objective.size - 1:
+        raise InvalidDataError("kernel_pem needs a regression objective, not a whittle one")
+    a = objective.posterior_mean(eta)
     predictor = np.concatenate(([1.0], -a))
     with np.errstate(over="ignore", invalid="ignore"):
         resid = _residuals(y, predictor)

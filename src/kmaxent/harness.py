@@ -87,10 +87,9 @@ class ExperimentConfig:
             raise InvalidOrderError(
                 f"low_order must be >= 0 and < N, got low_order={self.low_order}, N={self.N}"
             )
-        if self.runs < 1:
-            raise InvalidDataError(f"runs must be >= 1, got {self.runs}")
-        if self.master_seed < 0:
-            raise InvalidDataError(f"master_seed must be >= 0, got {self.master_seed}")
+        for name, least in (("runs", 1), ("master_seed", 0), ("grid_size", 2), ("burn_in", 0)):
+            if getattr(self, name) < least:
+                raise InvalidDataError(f"{name} must be >= {least}, got {getattr(self, name)}")
 
     def to_dict(self) -> dict:
         """Every field that shapes the results; timings and the output path do not."""
@@ -134,8 +133,8 @@ def fit_method(method: Method, y: TimeSeries, cfg: ExperimentConfig) -> Estimate
 
     ``me`` runs :func:`me_bic`; any other tag reads ``<route>-<family>``:
     route ``me`` runs :func:`run_pipeline` and ``pem`` :func:`run_pem_pipeline`,
-    with kernel family ``di`` or ``tc``. Every route factors its Toeplitz
-    matrices by :func:`covariance.cholesky`, and every result carries the
+    with kernel family ``di`` or ``tc``. Every route reads the factors the
+    series keeps (:meth:`TimeSeries.factor`), and every result carries the
     root check that :class:`EstimateResult` runs when it is built.
     """
     if method is Method.ME:

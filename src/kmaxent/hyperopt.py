@@ -3,13 +3,12 @@
 The kernel scale and decay rate are chosen by minimizing the negative
 log-marginal likelihood of the data with the coefficient vector integrated
 out. Kernel-ME and kernel-PEM are two cases of one ridge regression,
-:class:`~kmaxent.estimators.RidgeMarginal` (re-exported here): its
-:meth:`~kmaxent.estimators.RidgeMarginal.profile` gives every score of the
-search, the single point of :func:`neg_log_marginal` included, and the same
-reduced form gives the coefficient solve and the degrees of freedom. Each
-step builds one object from the one before, which computes what it derives.
-Both pipelines end in one shared tail: search, coefficient solve, degrees
-of freedom and root check.
+:class:`~kmaxent.estimators.RidgeMarginal` (re-exported here). The search
+scores it by :meth:`~kmaxent.estimators.RidgeMarginal.profile`, as
+:func:`neg_log_marginal` does, and the coefficient solve and the degrees of
+freedom read the same object. Each step builds one object from the one
+before, and both pipelines end in one shared tail: search, coefficient
+solve, degrees of freedom and root check.
 
 The surface is not convex, so the search is a deterministic two-stage
 procedure inside a fixed box (:class:`PipelineConfig`): an exhaustive coarse
@@ -30,7 +29,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .covariance import TimeSeries, ToeplitzCovariance, cholesky, estimate_lags
+from .covariance import TimeSeries
 from .errors import InvalidOrderError, KmaxentError, PipelineError
 from .estimators import (
     EstimateResult,
@@ -183,21 +182,22 @@ def _step(name: str, fn, *args, **kwargs):
         raise PipelineError(name, str(exc)) from exc
 
 
-def _fit(route: str, family: KernelFamily, objective, solve, jitter=0.0):
+def _fit(route: str, objective, solve, jitter=0.0):
     """Shared tail of both pipelines: search, coefficient solve, degrees of
     freedom and the result tagged ``<route>-<family>``, whose construction
     runs the root check.
 
-    ``solve(family, eta)`` is the coefficient solve of ``route`` ("me" or
-    "pem"); failures name the step ``hyperparameters`` or ``kernel_<route>``.
+    ``solve(objective, eta)`` is the coefficient solve of ``route`` ("me" or
+    "pem"); it and the df read the objective the search minimized. Failures
+    name the step ``hyperparameters`` or ``kernel_<route>``.
     """
     hyper = _step("hyperparameters", optimize_hyperparameters, objective)
-    b_hat = _step(f"kernel_{route}", solve, family, hyper.eta_hat)
+    b_hat = _step(f"kernel_{route}", solve, objective, hyper.eta_hat)
     return EstimateResult(
         b_hat=b_hat,
         eta_hat=hyper.eta_hat,
         df=objective.df(hyper.eta_hat),
-        method_tag=Method(f"{route}-{family.value}"),
+        method_tag=Method(f"{route}-{objective.family.value}"),
         jitter_used=jitter,
     )
 
@@ -208,25 +208,21 @@ def run_pipeline(
     """Full kernel-based maximum-entropy estimation.
 
     Executes, in order: preliminary leading-coefficient estimate (Yule-Walker
-    at order ``low_order``), covariance lags and their ToeplitzCovariance at
-    order ``n``, Cholesky factorization (with capped jitter), the factor's
-    WhittleDesign, marginal-likelihood hyperparameter search, and the
-    closed-form coefficient solve at the selected hyperparameters; degrees of
-    freedom (from the search's reduced form) and the minimum-phase root check
-    are evaluated on the result, all on the covariance the factor carries
-    (jitter-repaired when needed). Deterministic given its inputs.
+    at order ``low_order``), the series' order-``n`` factor with capped
+    jitter (:meth:`TimeSeries.factor`), its WhittleDesign, the search and
+    the closed-form coefficient solve on the searched objective; degrees of
+    freedom and the root check run on the result, all on the covariance the
+    factor carries. Deterministic given its inputs.
     """
     N = y.n_samples
     if not 0 < n < N:
         raise InvalidOrderError(f"order n={n} must satisfy 0 < n < N={N}")
     kernel_family = KernelFamily(kernel_family)
     b0 = _step("preliminary_b0", preliminary_b0, y, low_order)
-    lags = _step("estimate_lags", estimate_lags, y, n)
-    cov = _step("build_toeplitz", ToeplitzCovariance, lags)
-    factor = _step("cholesky", cholesky, cov)
+    factor = _step("cholesky", y.factor, n)
     design = _step("whittle_design", WhittleDesign, factor, b0, N)
     objective = _step("hyperparameters", RidgeMarginal.whittle, design, kernel_family)
-    return _fit("me", kernel_family, objective, partial(kernel_me, design), factor.jitter)
+    return _fit("me", objective, kernel_me, factor.jitter)
 
 
 def run_pem_pipeline(
@@ -237,13 +233,13 @@ def run_pem_pipeline(
     Shares the marginal-likelihood search and the fit tail with
     :func:`run_pipeline`, applied to the lagged-regression form of the data.
     Its Gram is built once by :func:`lagged_gram` (autocorrelation sums minus
-    the 2n edge rows), and the objective and :func:`kernel_pem` both take the
-    whole matrix, so no N x n design is formed and memory is O(N + n^2).
-    Like :func:`run_pipeline` it runs the preliminary b_0 step first. Raises
+    the 2n edge rows) for the objective that :func:`kernel_pem` also solves
+    on, so no N x n design is formed and memory is O(N + n^2). Like
+    :func:`run_pipeline` it runs the preliminary b_0 step first. Raises
     InvalidOrderError unless N > 2n >= 2.
     """
     kernel_family = KernelFamily(kernel_family)
     b0 = _step("preliminary_b0", preliminary_b0, y, low_order)
     gram = lagged_gram(y, n)
     objective = _step("hyperparameters", RidgeMarginal.regression, gram, b0, kernel_family)
-    return _fit("pem", kernel_family, objective, partial(kernel_pem, y, gram))
+    return _fit("pem", objective, partial(kernel_pem, y))

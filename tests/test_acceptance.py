@@ -14,6 +14,7 @@ from kmaxent.covariance import ToeplitzCovariance, cholesky, estimate_lags
 from kmaxent.diagnostics import degrees_of_freedom
 from kmaxent.estimators import (
     Method,
+    RidgeMarginal,
     WhittleDesign,
     check_min_phase,
     kernel_me,
@@ -64,7 +65,7 @@ def test_criterion_01_minimum_phase_invariant():
         lam = float(10.0 ** rng.uniform(-3, 3))
         family = KernelFamily.DI if trial % 2 == 0 else KernelFamily.TC
         _, design = whitened_setup(y, n)
-        b = kernel_me(design, family, Hyperparameters(lam, beta))
+        b = kernel_me(RidgeMarginal.whittle(design, family), Hyperparameters(lam, beta))
         ok, modulus = check_min_phase(b)
         worst = max(worst, modulus)
         if not ok:
@@ -84,7 +85,7 @@ def test_criterion_02_lambda_infinity_reduction():
             y = generate(random_arma(900 + index), 500, 1900 + index)
             index += 1
             cov, design = whitened_setup(y, n)
-            b = kernel_me(design, family, Hyperparameters(1e12, beta))
+            b = kernel_me(RidgeMarginal.whittle(design, family), Hyperparameters(1e12, beta))
             v = np.zeros(n + 1)
             v[0] = 1.0
             target = np.linalg.solve(cov.matrix, v) / design.b0_prelim
@@ -119,7 +120,7 @@ def test_criterion_04_closed_form_agreement():
         family = KernelFamily.DI if trial % 2 == 0 else KernelFamily.TC
         _, design = whitened_setup(y, n)
         eta = Hyperparameters(lam, beta)
-        b1 = kernel_me(design, family, eta)
+        b1 = kernel_me(RidgeMarginal.whittle(design, family), eta)
         b2 = kernel_me_regularized_ls(design, family, eta)
         rel = np.linalg.norm(b1.coeffs - b2.coeffs) / np.linalg.norm(b1.coeffs)
         worst = max(worst, rel)
@@ -282,7 +283,7 @@ def test_criterion_10_oracle_equivalence(benchmark_series):
     _, design = whitened_setup(y, 50)
     spec = KernelSpec(KernelFamily.DI, 0.85, 51)
     eta = Hyperparameters(1.0, 0.85)
-    b_km = kernel_me(design, KernelFamily.DI, eta)
+    b_km = kernel_me(RidgeMarginal.whittle(design, KernelFamily.DI), eta)
     K = kernel_matrix(spec)
     dense = np.linalg.solve(design.phi_data.T @ design.phi_data
                             + np.linalg.inv(K) / eta.lam,

@@ -347,3 +347,27 @@ class TestCholesky:
         assert len(pd) == 6 and pd[0] == 0.0
         # eigenvalue -1: no shift up to 1e-4 * r_0 factors
         assert list(factorizations(ToeplitzCovariance(np.array([1.0, 2.0])))) == []
+
+
+class TestSeriesFactor:
+    @pytest.mark.parametrize("kind", ["benchmark", "bump"])
+    @pytest.mark.parametrize("k", [0, 4, 50])
+    def test_kept_per_order_and_equal_to_a_fresh_factor(self, benchmark_series, kind, k):
+        # the w=60 bump needs jitter at order 50
+        bump = np.exp(-(((np.arange(500) - 250) / 60) ** 2))
+        y = TimeSeries(benchmark_series.samples if kind == "benchmark" else bump)
+        factor = y.factor(k)
+        assert y.factor(k) is factor
+        fresh = cholesky(ToeplitzCovariance(estimate_lags(y, k)))
+        assert np.array_equal(factor.L, fresh.L) and factor.jitter == fresh.jitter
+        assert np.array_equal(factor.cov.lags, fresh.cov.lags)
+        assert not factor.L.flags.writeable
+        with pytest.raises(ValueError):
+            factor.L[0, 0] = 1.0
+        assert (factor.jitter > 0.0) == (kind == "bump" and k == 50)
+
+    def test_zero_variance_is_named_before_any_factorization(self):
+        y = TimeSeries(np.zeros(10))
+        with pytest.raises(NotPositiveDefiniteError) as info:
+            y.factor(3)
+        assert str(info.value) == "series has zero variance (r_0 = 0)"

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -278,7 +279,7 @@ class TestKernelMe:
         a = np.linalg.solve(cov.matrix, v)
         for family in KernelFamily:
             eta = Hyperparameters(1e12, 0.85)
-            b = kernel_me(design, family, eta)
+            b = kernel_me(RidgeMarginal.whittle(design, family), eta)
             target = a / design.b0_prelim
             rel = np.linalg.norm(b.coeffs - target) / np.linalg.norm(target)
             assert rel <= 1e-4, (family, rel)
@@ -286,7 +287,7 @@ class TestKernelMe:
     def test_lambda_zero_shrinks_to_nothing(self, benchmark_setup):
         _, _, _, design = benchmark_setup
         eta = Hyperparameters(1e-12, 0.85)
-        b = kernel_me(design, KernelFamily.TC, eta)
+        b = kernel_me(RidgeMarginal.whittle(design, KernelFamily.TC), eta)
         assert np.linalg.norm(b.coeffs) < 1e-6
 
     def test_matches_dense_normal_equations_oracle(self, benchmark_setup):
@@ -296,7 +297,7 @@ class TestKernelMe:
         ]
         for family, lam, beta, tol in cases:
             eta = Hyperparameters(lam, beta)
-            b = kernel_me(design, family, eta)
+            b = kernel_me(RidgeMarginal.whittle(design, family), eta)
             K = kernel_matrix(KernelSpec(family, beta, cov.order + 1))
             phi, vt = design.phi_data, design.v_tilde
             oracle = np.linalg.solve(
@@ -316,7 +317,7 @@ class TestKernelMe:
         cases += [(family, lam, beta) for family in KernelFamily for lam, beta in BOX_CORNERS]
         for family, lam, beta in cases:
             eta = Hyperparameters(lam, beta)
-            b1 = kernel_me(design, family, eta)
+            b1 = kernel_me(RidgeMarginal.whittle(design, family), eta)
             b2 = kernel_me_regularized_ls(design, family, eta)
             rel = np.linalg.norm(b1.coeffs - b2.coeffs) / np.linalg.norm(b1.coeffs)
             assert rel <= 1e-8, (family, lam, beta, rel)
@@ -333,7 +334,8 @@ class TestKernelMe:
             b0 = preliminary_b0(y, 4)
             cov = ToeplitzCovariance(estimate_lags(y, n))
             design = WhittleDesign(cholesky(cov), b0, N)
-            return kernel_me(design, KernelFamily.TC, Hyperparameters(lam_value, beta))
+            objective = RidgeMarginal.whittle(design, KernelFamily.TC)
+            return kernel_me(objective, Hyperparameters(lam_value, beta))
 
         base = fit(benchmark_series.samples, lam)
         scaled = fit(c * benchmark_series.samples, lam / c**2)
@@ -346,7 +348,7 @@ class TestKernelMe:
             fac = inverse_factorization(KernelSpec(family, beta, cov.order + 1))
             norms = []
             for lam in np.logspace(-3, 3, 13):
-                b = kernel_me(design, family, Hyperparameters(lam, beta))
+                b = kernel_me(RidgeMarginal.whittle(design, family), Hyperparameters(lam, beta))
                 w = fac.F.T @ b.coeffs
                 norms.append(float(w @ (fac.d * w)))
             norms = np.array(norms)
@@ -358,7 +360,8 @@ class TestKernelPem:
         rng = np.random.default_rng(2)
         y = TimeSeries(1.3 * rng.standard_normal(2000))
         n = 10
-        b = kernel_pem(y, lagged_gram(y, n), KernelFamily.DI, Hyperparameters(1e-12, 0.8))
+        objective = RidgeMarginal.regression(lagged_gram(y, n), 1.0, KernelFamily.DI)
+        b = kernel_pem(y, objective, Hyperparameters(1e-12, 0.8))
         assert np.all(np.abs(b.coeffs[1:]) < 1e-8)
         _, target = lagged_design(y, n)
         assert abs(b.coeffs[0] - 1.0 / np.sqrt(np.mean(target**2))) < 1e-9
@@ -366,7 +369,8 @@ class TestKernelPem:
     def test_ar1_consistency_with_weak_penalty(self):
         y = ar_series([0.5], 10_000, 9)
         n = 5
-        b = kernel_pem(y, lagged_gram(y, n), KernelFamily.TC, Hyperparameters(1e6, 0.8))
+        objective = RidgeMarginal.regression(lagged_gram(y, n), 1.0, KernelFamily.TC)
+        b = kernel_pem(y, objective, Hyperparameters(1e6, 0.8))
         a1 = -b.coeffs[1] / b.coeffs[0]
         assert abs(a1 - 0.5) < 0.05
 
@@ -383,27 +387,30 @@ class TestKernelPem:
             r = target - X @ a
             return r @ r + (a @ kbar_inv @ a) / lam
 
-        b_pem = kernel_pem(y, lagged_gram(y, n), KernelFamily.TC, eta)
+        regression = RidgeMarginal.regression(lagged_gram(y, n), 1.0, KernelFamily.TC)
+        b_pem = kernel_pem(y, regression, eta)
         a_pem = -b_pem.coeffs[1:] / b_pem.coeffs[0]
-        b_me = kernel_me(design, KernelFamily.TC, eta)
+        b_me = kernel_me(RidgeMarginal.whittle(design, KernelFamily.TC), eta)
         a_me = -b_me.coeffs[1:] / b_me.coeffs[0]
         assert objective(a_pem) <= objective(a_me)
 
     def test_matches_dense_normal_equations_oracle(self, benchmark_series):
+        # the weights do not depend on the b0 folded into the objective
         n = 12
         cases = [(0.4, 0.8, 1e-9)] + [(lam, beta, 1e-8) for lam, beta in BOX_CORNERS]
-        for family in KernelFamily:
+        for family, b0 in itertools.product(KernelFamily, (1e-3, 1.0, 1e3)):
             for lam, beta, tol in cases:
                 spec = KernelSpec(family, beta, n + 1)
                 gram = lagged_gram(benchmark_series, n)
-                b = kernel_pem(benchmark_series, gram, family, Hyperparameters(lam, beta))
+                objective = RidgeMarginal.regression(gram, b0, family)
+                b = kernel_pem(benchmark_series, objective, Hyperparameters(lam, beta))
                 X, target = lagged_design(benchmark_series, n)
                 kbar_inv = np.linalg.inv(kernel_matrix(spec)[1:, 1:])
                 a = np.linalg.solve(X.T @ X + kbar_inv / lam, X.T @ target)
                 resid = target - X @ a
                 expected = np.concatenate(([1.0], -a)) / np.sqrt(np.mean(resid**2))
                 rel = np.linalg.norm(b.coeffs - expected) / np.linalg.norm(expected)
-                assert rel <= tol, (family, lam, beta, rel)
+                assert rel <= tol, (family, b0, lam, beta, rel)
 
     @pytest.mark.parametrize("family", list(KernelFamily))
     @pytest.mark.parametrize("lam", [1e-4, 1e4])
@@ -414,7 +421,8 @@ class TestKernelPem:
         n = 50
         gram = lagged_gram(benchmark_series, n)
         spec = KernelSpec(family, beta, n + 1)
-        b = kernel_pem(benchmark_series, gram, family, Hyperparameters(lam, beta))
+        objective = RidgeMarginal.regression(gram, 1.0, family)
+        b = kernel_pem(benchmark_series, objective, Hyperparameters(lam, beta))
         B = trailing_block_root(spec)
         M = np.eye(n) + lam * (B.T @ gram[1:, 1:] @ B)
         a = lam * (B @ np.linalg.solve(M, B.T @ gram[1:, 0]))
@@ -424,10 +432,22 @@ class TestKernelPem:
         rel = np.linalg.norm(b.coeffs - expected) / np.linalg.norm(expected)
         assert rel <= 1e-10
 
+    def test_each_solve_takes_only_its_own_routes_objective(self, benchmark_setup):
+        y, _, _, design = benchmark_setup
+        eta, b0 = Hyperparameters(1.0, 0.5), preliminary_b0(y, 4)
+        whittle = RidgeMarginal.whittle(design, KernelFamily.TC)
+        regression = RidgeMarginal.regression(lagged_gram(y, 50), b0, KernelFamily.TC)
+        assert whittle.fold == 1.0 and regression.fold == b0
+        with pytest.raises(InvalidDataError, match="kernel_pem needs a regression objective"):
+            kernel_pem(y, whittle, eta)
+        with pytest.raises(InvalidDataError, match="kernel_me needs a whittle objective"):
+            kernel_me(regression, eta)
+
     def test_rejects_short_series(self):
         y = TimeSeries(np.arange(20.0))
         with pytest.raises(InvalidOrderError):
-            kernel_pem(y, lagged_gram(y, 10), KernelFamily.DI, Hyperparameters(1.0, 0.5))
+            objective = RidgeMarginal.regression(lagged_gram(y, 10), 1.0, KernelFamily.DI)
+            kernel_pem(y, objective, Hyperparameters(1.0, 0.5))
 
     @pytest.mark.parametrize("N, n", [(10**5, 12), (75, 12), (76, 12), (77, 12), (500, 100)])
     def test_innovation_scale_matches_exactly_rounded_residuals(self, N, n):
@@ -436,8 +456,9 @@ class TestKernelPem:
         y = generate(random_arma(np.random.SeedSequence([808, N, n])), N, 3)
         gram = lagged_gram(y, n)
         eta = Hyperparameters(1e3, 0.8)
-        b = kernel_pem(y, gram, KernelFamily.TC, eta)
-        a = RidgeMarginal.regression(gram, 1.0, KernelFamily.TC).posterior_mean(eta)
+        objective = RidgeMarginal.regression(gram, 1.0, KernelFamily.TC)
+        b = kernel_pem(y, objective, eta)
+        a = objective.posterior_mean(eta)
         resid = exact_residuals(y.samples, np.concatenate(([1.0], -a)))
         sigma_hat = np.sqrt(math.fsum((resid**2).tolist()) / resid.size)
         assert abs(1.0 / b.coeffs[0] - sigma_hat) <= 1e-12 * sigma_hat
@@ -464,7 +485,8 @@ class TestKernelPem:
         y[0], y[70] = 1.0, -2.0
         y = TimeSeries(y)
         with pytest.raises(InvalidDataError, match="residuals are all zero"):
-            kernel_pem(y, lagged_gram(y, 100), KernelFamily.TC, Hyperparameters(1.0, 0.5))
+            objective = RidgeMarginal.regression(lagged_gram(y, 100), 1.0, KernelFamily.TC)
+            kernel_pem(y, objective, Hyperparameters(1.0, 0.5))
 
 
 def assert_gram_matches_dense(y, n):
@@ -508,7 +530,8 @@ class TestLaggedGram:
             t = np.arange(2000)
             y = TimeSeries(np.sin(0.3 * t) + 1e-6 * rng.standard_normal(t.size))
         n = 12
-        b = kernel_pem(y, lagged_gram(y, n), KernelFamily.TC, Hyperparameters(1e3, 0.8))
+        objective = RidgeMarginal.regression(lagged_gram(y, n), 1.0, KernelFamily.TC)
+        b = kernel_pem(y, objective, Hyperparameters(1e3, 0.8))
         a = -b.coeffs[1:] / b.coeffs[0]
         X, target = lagged_design(y, n)
         resid = target - X @ a

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from kmaxent import hyperopt
+from kmaxent import covariance, hyperopt
 from kmaxent.covariance import (
     CholeskyFactor,
     TimeSeries,
@@ -465,10 +465,11 @@ class TestRunPipeline:
         y, _, _, design = benchmark_setup
         me = run_pipeline(y, 50, family)
         assert me.jitter_used == 0.0  # so the fixture's design is the pipeline's
-        expected = kernel_me(design, family, me.eta_hat)
+        expected = kernel_me(RidgeMarginal.whittle(design, family), me.eta_hat)
         assert np.array_equal(me.b_hat.coeffs, expected.coeffs)
         pem = run_pem_pipeline(y, 50, family)
-        expected = kernel_pem(y, lagged_gram(y, 50), family, pem.eta_hat)
+        objective = RidgeMarginal.regression(lagged_gram(y, 50), preliminary_b0(y, 4), family)
+        expected = kernel_pem(y, objective, pem.eta_hat)
         assert np.array_equal(pem.b_hat.coeffs, expected.coeffs)
 
     @pytest.mark.parametrize("family", list(KernelFamily))
@@ -484,12 +485,13 @@ class TestRunPipeline:
             factors.append(CholeskyFactor(repaired, eps))
             return factors[-1]
 
-        monkeypatch.setattr(hyperopt, "cholesky", jittered)
+        monkeypatch.setattr(covariance, "cholesky", jittered)
+        y = TimeSeries(y.samples)  # a fresh series: each keeps its factors
         result = run_pipeline(y, n, family)
-        (factor,) = factors
+        _, factor = factors  # the factors of orders 4 (for b0) and n
         assert result.jitter_used == eps
         design = WhittleDesign(factor, preliminary_b0(y, 4), y.n_samples)
-        expected = kernel_me(design, family, result.eta_hat)
+        expected = kernel_me(RidgeMarginal.whittle(design, family), result.eta_hat)
         assert np.array_equal(result.b_hat.coeffs, expected.coeffs)
         assert result.df == degrees_of_freedom(factor.cov, family, result.eta_hat, y.n_samples)
 

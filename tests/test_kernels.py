@@ -137,7 +137,8 @@ class TestSquareRoots:
         gram = np.array([[y.samples @ y.samples]])
         for family in KernelFamily:
             with pytest.raises(InvalidOrderError):
-                kernel_pem(y, gram, family, Hyperparameters(1.0, 0.5))
+                objective = RidgeMarginal.regression(gram, 1.0, family)
+                kernel_pem(y, objective, Hyperparameters(1.0, 0.5))
             with pytest.raises(InvalidOrderError):
                 RidgeMarginal.regression(gram, 1.0, family)
 
